@@ -19,7 +19,6 @@ from .expr import (
     ZeroVerdict,
     as_expr,
     diff_partial,
-    evaluate_exact,
     evaluate_float,
     fn_apply,
     integrate_univar,
@@ -37,7 +36,6 @@ from .jets import (
     check_frame,
     equation_expression,
     euler_operator,
-    max_jet_order,
     reduce_to_solutions,
     restricted_derivative,
     total_derivative,

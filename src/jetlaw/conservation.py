@@ -9,6 +9,13 @@ on xi and the xi-derivatives w[k,0] (k >= 1).  In that shape the
 characteristic (the multiplier lambda with Div = lambda * w[1,1] modulo
 identically divergence-free currents) is read off by an explicit operator,
 and a current is trivial precisely when its characteristic vanishes.
+
+One routine, ``_integrate_by_parts``, integrates a divergence by parts down
+to a multiple of the equation, in either frame: it walks (-D)^n over each
+coefficient dC/dJ along the axis that is not the component's own, and
+collects the remainder current on the way.  ``characteristic_canonical``,
+``characteristic_with_remainder``, ``spacetime_remainder`` and
+``trivial_witness`` all take their multiplier from it.
 """
 
 from __future__ import annotations
@@ -96,20 +103,13 @@ class Current:
         )
 
 
-def _eta_side_ok(e: Expr) -> bool:
+def _one_sided(e: Expr, axis: int) -> bool:
+    """True iff e depends only on the light-cone variable along axis and on
+    jets differentiated along that axis alone, at least once."""
     for a in e.base_atoms():
-        if isinstance(a, Sym) and a.name != "eta":
+        if isinstance(a, Sym) and a.name != LIGHTCONE.variables[axis]:
             return False
-        if isinstance(a, Jet) and not (a.i == 0 and a.j >= 1):
-            return False
-    return True
-
-
-def _xi_side_ok(e: Expr) -> bool:
-    for a in e.base_atoms():
-        if isinstance(a, Sym) and a.name != "xi":
-            return False
-        if isinstance(a, Jet) and not (a.j == 0 and a.i >= 1):
+        if isinstance(a, Jet) and ((a.i, a.j)[1 - axis] or not (a.i, a.j)[axis]):
             return False
     return True
 
@@ -126,10 +126,13 @@ class CanonicalCurrent(Current):
         super().__post_init__()
         if self.frame is not LIGHTCONE:
             raise ValueError("canonical currents live in the light-cone frame")
-        if not _eta_side_ok(self.first):
-            raise ValueError(f"first component {self.first} is not eta-sided")
-        if not _xi_side_ok(self.second):
-            raise ValueError(f"second component {self.second} is not xi-sided")
+        for label, component, axis in (
+            ("first", self.first, 1),
+            ("second", self.second, 0),
+        ):
+            if not _one_sided(component, axis):
+                side = LIGHTCONE.variables[axis]
+                raise ValueError(f"{label} component {component} is not {side}-sided")
 
 
 @dataclass(frozen=True)
@@ -254,17 +257,53 @@ def normalize_current(
     return CanonicalCurrent(LIGHTCONE, first, second)
 
 
-def _eta_operator_power(e: Expr, times: int) -> Expr:
-    """(-D_eta)^times applied with the restricted derivative."""
-    for _ in range(times):
-        e = -restricted_derivative(e, LIGHTCONE, 1)
-    return e
+def _integrate_by_parts(current: Current) -> tuple[tuple[Expr, Expr], Current]:
+    """Integrate the divergence of a reduced current by parts down to the equation.
+
+    Component a is differentiated along axis a; b is the other axis.  Where
+    D_a J is principal for a jet J of the component, D_a J = D_b^n(leading);
+    with c = dC_a/dJ and E the equation's left-hand side,
+    c * D_b^n E = ((-D_b)^n c) * E + D_b(sum_m ((-D_b)^m c) * D_b^(n-1-m) E).
+    Returns each component's multiplier part and the remainder current.
+    Inputs are canonical (light-cone) or reduced (space-time), so D_b never
+    makes a principal jet and the plain total derivative is the restricted one.
+    """
+    frame = current.frame
+    equation = equation_expression(frame)
+    parts = []
+    remainder = [Expr.zero(), Expr.zero()]
+    for axis, component in enumerate((current.first, current.second)):
+        other = 1 - axis
+        part = Expr.zero()
+        for a in component.jets(frame.dependent):
+            top = a.shifted(axis)
+            if not frame.is_principal(top):
+                continue
+            steps = [diff_partial(component, a)]  # (-D_b)^m c for m = 0..n
+            for _ in range((top.i, top.j)[other] - frame.leading[other]):
+                steps.append(-total_derivative(steps[-1], frame, other))
+            shifted = equation  # D_b^(n-1-m) E, paired with steps[m]
+            for step in reversed(steps[:-1]):
+                remainder[other] = remainder[other] + step * shifted
+                shifted = total_derivative(shifted, frame, other)
+            part = part + steps[-1]
+        parts.append(part)
+    return (parts[0], parts[1]), Current(frame, remainder[0], remainder[1])
 
 
-def _xi_operator_power(e: Expr, times: int) -> Expr:
-    for _ in range(times):
-        e = -restricted_derivative(e, LIGHTCONE, 0)
-    return e
+def _checked_remainder(current: Current) -> tuple[Expr, Current]:
+    """Multiplier and remainder of a reduced conserved current; the divergence
+    identity is asserted exactly before returning."""
+    parts, remainder = _integrate_by_parts(current)
+    multiplier = parts[0] + parts[1]
+    gap = (
+        divergence(current)
+        - multiplier * equation_expression(current.frame)
+        - divergence(remainder)
+    )
+    if not is_zero(gap):
+        raise AssertionError(f"{current.frame} divergence identity failed to close")
+    return multiplier, remainder
 
 
 def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
@@ -274,12 +313,8 @@ def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
     with restricted derivatives; each summand is the result of integrating
     the divergence by parts down to a multiple of w[1,1].
     """
-    lam = Expr.zero()
-    for a in sorted(current.first.jets("w"), key=lambda j: j.j):
-        lam = lam + _eta_operator_power(diff_partial(current.first, a), a.j - 1)
-    for a in sorted(current.second.jets("w"), key=lambda j: j.i):
-        lam = lam + _xi_operator_power(diff_partial(current.second, a), a.i - 1)
-    return Characteristic(LIGHTCONE, lam)
+    parts, _ = _integrate_by_parts(current)
+    return Characteristic(LIGHTCONE, parts[0] + parts[1])
 
 
 def characteristic_with_remainder(
@@ -292,30 +327,8 @@ def characteristic_with_remainder(
     where F0 and G0 vanish on solutions (every term carries a mixed jet).
     The identity is asserted exactly before returning.
     """
-    lam = characteristic_canonical(current)
-    g_rem = Expr.zero()
-    for a in sorted(current.first.jets("w"), key=lambda j: j.j):
-        coeff = diff_partial(current.first, a)
-        for m in range(a.j - 1):
-            g_rem = g_rem + _eta_operator_power(coeff, m) * as_expr(
-                Jet("w", 1, a.j - 1 - m)
-            )
-    f_rem = Expr.zero()
-    for a in sorted(current.second.jets("w"), key=lambda j: j.i):
-        coeff = diff_partial(current.second, a)
-        for m in range(a.i - 1):
-            f_rem = f_rem + _xi_operator_power(coeff, m) * as_expr(
-                Jet("w", a.i - 1 - m, 1)
-            )
-    remainder = Current(LIGHTCONE, f_rem, g_rem)
-    gap = (
-        divergence(current)
-        - lam.multiplier * as_expr(Jet("w", 1, 1))
-        - divergence(remainder)
-    )
-    if not is_zero(gap):
-        raise AssertionError("integration-by-parts identity failed to close")
-    return lam, remainder
+    multiplier, remainder = _checked_remainder(current)
+    return Characteristic(LIGHTCONE, multiplier), remainder
 
 
 def is_trivial(current: Current, point: ReferenceJetPoint = ORIGIN) -> bool:
@@ -335,6 +348,11 @@ def _invert_restricted(target: Expr, axis: int) -> Expr:
     axis 0 mirrors this for xi.  Works by stripping the top derivative:
     an exact derivative is linear in its highest jet, and the cofactor is
     the partial of the potential with respect to the next jet down.
+
+    This stays apart from ``_integrate_by_parts``: that routine moves D_b
+    off a coefficient, while this one integrates, solving D_b H = target
+    for H.  One shared routine would have to branch on which caller it
+    serves.
     """
     sym = Sym("eta") if axis == 1 else Sym("xi")
 
@@ -380,14 +398,11 @@ def trivial_witness(current: CanonicalCurrent) -> TrivialWitness:
     one-sided restricted derivatives on the rest.  The defining identities
     are re-checked exactly before returning.
     """
-    r_first = Expr.zero()
-    for a in sorted(current.first.jets("w"), key=lambda j: j.j):
-        r_first = r_first + _eta_operator_power(diff_partial(current.first, a), a.j - 1)
-    constant = r_first.as_rational()
+    parts, _ = _integrate_by_parts(current)
+    constant = parts[0].as_rational()
     if constant is None:
         raise ValueError("current is not trivial: characteristic is non-constant")
-    lam = characteristic_canonical(current).multiplier
-    if not is_zero(lam):
+    if not is_zero(parts[0] + parts[1]):
         raise ValueError("current is not trivial: nonzero characteristic")
 
     w01 = as_expr(Jet("w", 0, 1))
@@ -428,28 +443,8 @@ def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
     reduced = current.reduced()
     if not is_zero(_restricted_divergence(SPACETIME, reduced.first, reduced.second)):
         raise NotConservedError("divergence does not vanish on solutions")
-    mu = Expr.zero()
-    x_rem = Expr.zero()
-    for a in sorted(reduced.first.jets("u"), key=lambda j: j.sort_key):
-        if a.i != 1:
-            continue
-        coeff = diff_partial(reduced.first, a)
-        term = coeff
-        for _ in range(a.j):
-            term = -total_derivative(term, SPACETIME, 1)
-        mu = mu + term
-        step = coeff
-        for m in range(a.j):
-            gap_order = a.j - 1 - m
-            x_rem = x_rem + step * (
-                as_expr(Jet("u", 2, gap_order)) - as_expr(Jet("u", 0, gap_order + 2))
-            )
-            step = -total_derivative(step, SPACETIME, 1)
-    lhs = divergence(reduced)
-    rhs = mu * equation_expression(SPACETIME) + total_derivative(x_rem, SPACETIME, 1)
-    if not is_zero(lhs - rhs):
-        raise AssertionError("space-time divergence identity failed to close")
-    return mu, x_rem
+    mu, remainder = _checked_remainder(reduced)
+    return mu, remainder.second
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Mapping, Union
 
 import mpmath
 
@@ -252,9 +252,6 @@ class Expr:
             if isinstance(a, Jet) and (var is None or a.var == var)
         )
 
-    def symbols(self) -> frozenset:
-        return frozenset(a for a in self.base_atoms() if isinstance(a, Sym))
-
     def depends_on(self, atom) -> bool:
         return atom in self.base_atoms()
 
@@ -415,27 +412,6 @@ def fn_apply(head: str, arg) -> Expr:
             return -flipped if head == "sin" else flipped
         return Expr.from_atom(Fn(head, arg))
     raise ValueError(f"unknown function {head!r}")
-
-
-def normalize(e: Expr) -> Expr:
-    """Rebuild the canonical form from scratch.
-
-    Expressions are canonicalized on construction, so this is the identity
-    on every Expr produced by this module's own operations; it exists to
-    make normalization explicit at API boundaries and as a consistency
-    check (it re-applies all construction rules, including function-value
-    folding inside arguments).
-    """
-    out = _ZERO
-    for mono, c in e.terms:
-        term = Expr.from_rational(c)
-        for a, p in mono:
-            if isinstance(a, Fn):
-                term = term * fn_apply(a.head, normalize(a.arg)) ** p
-            else:
-                term = term * Expr.from_atom(a) ** p
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -680,21 +656,6 @@ def evaluate_float(e: Expr, env: Mapping) -> float:
                 term *= _FLOAT_FUNCS[a.head](evaluate_float(a.arg, env)) ** p
             else:
                 term *= float(env[a]) ** p
-        total += term
-    return total
-
-
-def evaluate_exact(e: Expr, env: Mapping) -> Fraction:
-    """Exact rational evaluation; rejects transcendental factors."""
-    total = Fraction(0)
-    for mono, c in e.terms:
-        term = c
-        for a, p in mono:
-            if isinstance(a, Fn):
-                raise UnsupportedExpressionError(
-                    "exact evaluation applies to polynomial expressions only"
-                )
-            term *= Fraction(env[a]) ** p
         total += term
     return total
 

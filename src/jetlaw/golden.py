@@ -215,8 +215,3 @@ GOLDEN_CASES = (
     GoldenCase("numeric flux, energy", _case_numeric_energy),
     GoldenCase("numeric flux counterexample", _case_numeric_counterexample),
 )
-
-
-def run_golden():
-    """Evaluate all cases; returns a list of (name, passed) pairs."""
-    return [(case.name, bool(case.run())) for case in GOLDEN_CASES]

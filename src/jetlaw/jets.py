@@ -1,10 +1,10 @@
 """Jet-space calculus for the 1+1D wave equation in two coordinate frames.
 
-The light-cone frame has independent variables (xi, eta), dependent variable
-w, and equation w[1,1] = 0: every mixed jet w[k,l] with k,l >= 1 vanishes on
-solutions.  The space-time frame has (t, x), dependent u, and equation
-u[2,0] - u[0,2] = 0 put in Kovalevskaya form with respect to t: every jet
-u[i,j] with i >= 2 rewrites to u[i-2,j+2] until i <= 1.
+A frame is its equation, held as data: a leading jet and the jets it equals
+on solutions.  The derivatives of the leading jet are the principal jets.
+Light-cone (xi, eta; w): w[1,1] = 0, so every mixed jet w[k,l] vanishes on
+solutions.  Space-time (t, x; u): u[2,0] = u[0,2], the Kovalevskaya form in
+t, so every jet u[i,j] with i >= 2 rewrites to u[i-2,j+2] until i <= 1.
 
 ``reduce_to_solutions`` applies those rewrites; ``total_derivative`` acts in
 the full jet space; ``restricted_derivative`` is the total derivative
@@ -32,11 +32,14 @@ class PrincipalDerivativeError(ValueError):
 
 @dataclass(frozen=True)
 class Frame:
-    """A coordinate frame: two independent symbols and one dependent variable."""
+    """Two independent symbols, one dependent variable, and the equation
+    jet(*leading) = sum of jet(*e) for e in equals (zero when empty)."""
 
     name: str
     variables: tuple[str, str]
     dependent: str
+    leading: tuple[int, int]
+    equals: tuple[tuple[int, int], ...] = ()
 
     def symbol(self, axis: int) -> Sym:
         return Sym(self.variables[axis])
@@ -45,9 +48,8 @@ class Frame:
         return Jet(self.dependent, i, j)
 
     def is_principal(self, jet: Jet) -> bool:
-        if self.name == "lightcone":
-            return jet.i >= 1 and jet.j >= 1
-        return jet.i >= 2
+        """True iff the jet is a derivative of the leading jet."""
+        return jet.i >= self.leading[0] and jet.j >= self.leading[1]
 
     @staticmethod
     def from_name(name: str) -> "Frame":
@@ -60,8 +62,8 @@ class Frame:
         return self.name
 
 
-LIGHTCONE = Frame("lightcone", ("xi", "eta"), "w")
-SPACETIME = Frame("spacetime", ("t", "x"), "u")
+LIGHTCONE = Frame("lightcone", ("xi", "eta"), "w", leading=(1, 1))
+SPACETIME = Frame("spacetime", ("t", "x"), "u", leading=(2, 0), equals=((0, 2),))
 _FRAMES = {"lightcone": LIGHTCONE, "spacetime": SPACETIME}
 
 
@@ -80,18 +82,29 @@ def reduce_to_solutions(e: Expr, frame: Frame) -> Expr:
     """Rewrite all principal derivatives using the equation; idempotent.
 
     Light-cone: w[k,l] -> 0 for k,l >= 1.  Space-time: u[i,j] -> u[i-2,j+2]
-    applied until i <= 1, which collapses to a single substitution
-    u[i,j] -> u[i mod 2, j+i-(i mod 2)].
+    applied until i <= 1.
     """
-    bindings = {}
-    for a in e.base_atoms():
-        if isinstance(a, Jet) and a.var == frame.dependent and frame.is_principal(a):
-            if frame.name == "lightcone":
-                bindings[a] = Expr.zero()
-            else:
-                r = a.i % 2
-                bindings[a] = as_expr(Jet(a.var, r, a.j + a.i - r))
+    bindings = {
+        a: _on_solutions(a, frame)
+        for a in e.jets(frame.dependent)
+        if frame.is_principal(a)
+    }
     return substitute(e, bindings) if bindings else e
+
+
+def _on_solutions(jet: Jet, frame: Frame) -> Expr:
+    """D^s(leading) as the sum of D^s(e) over the jets e in equals, repeated
+    until no principal jet is left."""
+    li, lj = frame.leading
+    out = Expr.zero()
+    pending = [(jet.i, jet.j)]
+    while pending:
+        i, j = pending.pop()
+        if i >= li and j >= lj:
+            pending.extend((i - li + ei, j - lj + ej) for ei, ej in frame.equals)
+        else:
+            out = out + as_expr(frame.jet(i, j))
+    return out
 
 
 def total_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
@@ -120,9 +133,10 @@ def restricted_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
 
 def equation_expression(frame: Frame) -> Expr:
     """Left-hand side of the wave equation in the frame's coordinates."""
-    if frame.name == "lightcone":
-        return as_expr(frame.jet(1, 1))
-    return as_expr(frame.jet(2, 0)) - as_expr(frame.jet(0, 2))
+    out = as_expr(frame.jet(*frame.leading))
+    for i, j in frame.equals:
+        out = out - as_expr(frame.jet(i, j))
+    return out
 
 
 def euler_operator(lagrangian: Expr, frame: Frame) -> Expr:
@@ -143,9 +157,3 @@ def euler_operator(lagrangian: Expr, frame: Frame) -> Expr:
             term = -term
         out = out + term
     return out
-
-
-def max_jet_order(e: Expr, frame: Frame) -> int | None:
-    """Highest derivative order of the frame's dependent variable, or None."""
-    orders = [a.order for a in e.jets(frame.dependent)]
-    return max(orders) if orders else None

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .expr import Expr, Jet, Sym, as_expr, evaluate_float
-from .jets import LIGHTCONE, SPACETIME, equation_expression, total_derivative
+from .expr import Expr, Jet, Sym, evaluate_float
+from .jets import LIGHTCONE, SPACETIME, equation_expression
 from .conservation import (
     CanonicalCurrent,
     Characteristic,
@@ -319,23 +319,19 @@ def check_characteristic_numeric(
         points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
 
     if current.frame is LIGHTCONE:
-        canonical = (
+        subject = (
             current
             if isinstance(current, CanonicalCurrent)
             else normalize_current(current)
         )
-        _, remainder = characteristic_with_remainder(canonical)
-        lhs = divergence(canonical)
-        rhs = characteristic.multiplier * as_expr(
-            Jet("w", 1, 1)
-        ) + divergence(remainder)
+        _, remainder = characteristic_with_remainder(subject)
     else:
-        reduced = current.reduced()
-        _, x_rem = spacetime_remainder(current)
-        lhs = divergence(reduced)
-        rhs = characteristic.multiplier * equation_expression(SPACETIME) + (
-            total_derivative(x_rem, SPACETIME, 1)
-        )
+        subject = current.reduced()
+        remainder = Current(SPACETIME, Expr.zero(), spacetime_remainder(current)[1])
+    lhs = divergence(subject)
+    rhs = characteristic.multiplier * equation_expression(current.frame) + divergence(
+        remainder
+    )
 
     worst = 0.0
     for coords in points:

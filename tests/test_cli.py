@@ -106,6 +106,22 @@ def test_characteristic_spacetime_input_reports_spacetime_multiplier(capsys):
     assert out.strip() == "u[1,0]"
 
 
+def test_characteristic_and_is_trivial_agree_on_identity_zero(capsys):
+    # the multiplier is zero only through sin^2 + cos^2 = 1, which the
+    # sampled zero test sees and the literal form does not
+    args = ["--first", "(sin(eta)^2+cos(eta)^2-1)*w[0,1]", "--second", "0"]
+    code, out, _ = run(capsys, "characteristic", *args)
+    assert code == 0
+    assert out.strip() == "sin(eta)^2 + cos(eta)^2 - 1 (trivial)"
+    code, out, _ = run(capsys, "characteristic", *args, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["multiplier"] == "sin(eta)^2 + cos(eta)^2 - 1"
+    assert doc["trivial"] is True
+    code, out, _ = run(capsys, "is-trivial", *args)
+    assert (code, out.strip()) == (0, "trivial: true")
+
+
 # --- documents as glue --------------------------------------------------------------
 
 def test_normalize_doc_feeds_verify(capsys, tmp_path):

@@ -43,6 +43,9 @@ from jetlaw.conservation import (
     trivial_witness,
     verify_current,
 )
+from jetlaw.transform import characteristic_to_spacetime, current_to_spacetime
+
+from test_acceptance import _random_canonical
 
 
 def lc(first, second):
@@ -329,6 +332,16 @@ def test_spacetime_remainder_higher_order():
     lhs = divergence(cur.reduced())
     rhs = mu * equation_expression(SPACETIME) + total_derivative(x_rem, SPACETIME, 1)
     assert is_zero(lhs - rhs)
+
+
+def test_integration_by_parts_agrees_across_frames():
+    # the first 40 of criterion 04's random canonical currents
+    rng = random.Random(401)
+    for index in range(40):
+        current = _random_canonical(rng, index)
+        lam = characteristic_to_spacetime(characteristic_canonical(current))
+        mu, _ = spacetime_remainder(current_to_spacetime(current))
+        assert lam.multiplier == mu, f"current {index}: {current}"
 
 
 def test_spacetime_remainder_rejects_bad_input():

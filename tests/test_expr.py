@@ -17,7 +17,6 @@ from jetlaw.expr import (
     UnsupportedIntegrandError,
     as_expr,
     diff_partial,
-    evaluate_exact,
     evaluate_float,
     fn_apply,
     integrate_univar,
@@ -275,19 +274,6 @@ def test_is_zero_seed_stability():
 
 
 # --- evaluation -------------------------------------------------------------
-
-def test_evaluate_exact_matches_float():
-    e = parse("1/2*w[1,0]^2 - 3*w[1,0]*t + 7")
-    env = {W10: Fraction(2, 3), T: Fraction(-1, 2)}
-    exact = evaluate_exact(e, env)
-    approx = evaluate_float(e, {k: float(v) for k, v in env.items()})
-    assert math.isclose(float(exact), approx, rel_tol=1e-12)
-
-
-def test_evaluate_exact_rejects_transcendentals():
-    with pytest.raises(UnsupportedExpressionError):
-        evaluate_exact(parse("sin(t)"), {T: Fraction(1)})
-
 
 def test_evaluate_float_transcendentals():
     e = parse("exp(t) + sin(t)*cos(t)")

@@ -17,7 +17,6 @@ from jetlaw.jets import (
     check_frame,
     equation_expression,
     euler_operator,
-    max_jet_order,
     reduce_to_solutions,
     restricted_derivative,
     total_derivative,
@@ -237,18 +236,3 @@ def test_euler_annihilates_divergences():
                 b = b + parse(rng.choice(names)) * parse(rng.choice(names)) * rng.randint(-3, 3)
             div = total_derivative(a, frame, 0) + total_derivative(b, frame, 1)
             assert euler_operator(div, frame) == 0
-
-
-@pytest.mark.parametrize(
-    "text,frame,expected",
-    [
-        ("3", LIGHTCONE, None),
-        ("xi + eta", LIGHTCONE, None),
-        ("w[0,0]", LIGHTCONE, 0),
-        ("w[1,0]*w[0,3]", LIGHTCONE, 3),
-        ("exp(2*w[0,2])", LIGHTCONE, 2),
-        ("u[3,1]*u[0,1]", SPACETIME, 4),
-    ],
-)
-def test_max_jet_order(text, frame, expected):
-    assert max_jet_order(parse(text), frame) == expected
