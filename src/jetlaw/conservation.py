@@ -208,7 +208,9 @@ def normalize_current(
     # equivalence class in every case, including q = 0 where the plain
     # substitution would drop a boundary term w[0,1]*(dG/dw[1,0])|_{w=p}.
     # q can jump upward once at the q = 0 step; afterwards F stays free of
-    # w and the orders decrease strictly, so the loop terminates.
+    # w and the orders decrease strictly, so the loop terminates.  first,
+    # second and the restricted derivatives are all reduced, so their sums
+    # need no further reduction.
     used_zero_step = False
     previous_q = None
     for _ in range(200):
@@ -228,12 +230,8 @@ def normalize_current(
         target = Jet("w", q, 0)
         integrand = diff_partial(second, Jet("w", q + 1, 0))
         shift = integrate_univar(integrand, target, lower=point.value(target))
-        first = reduce_to_solutions(
-            first + restricted_derivative(shift, LIGHTCONE, 1), LIGHTCONE
-        )
-        second = reduce_to_solutions(
-            second - restricted_derivative(shift, LIGHTCONE, 0), LIGHTCONE
-        )
+        first = first + restricted_derivative(shift, LIGHTCONE, 1)
+        second = second - restricted_derivative(shift, LIGHTCONE, 0)
         if first.depends_on(target):
             raise NotConservedError(
                 f"could not eliminate {target}; the input pair is inconsistent"
@@ -243,12 +241,8 @@ def normalize_current(
 
     if first.depends_on(Sym("xi")):
         shift = integrate_univar(second, Sym("xi"), lower=point.value(Sym("xi")))
-        first = reduce_to_solutions(
-            first + restricted_derivative(shift, LIGHTCONE, 1), LIGHTCONE
-        )
-        second = reduce_to_solutions(
-            second - restricted_derivative(shift, LIGHTCONE, 0), LIGHTCONE
-        )
+        first = first + restricted_derivative(shift, LIGHTCONE, 1)
+        second = second - restricted_derivative(shift, LIGHTCONE, 0)
         if first.depends_on(Sym("xi")):
             raise NotConservedError("could not eliminate xi from the first component")
 
@@ -257,24 +251,27 @@ def normalize_current(
     return CanonicalCurrent(LIGHTCONE, first, second)
 
 
-def _integrate_by_parts(current: Current) -> tuple[tuple[Expr, Expr], Current]:
+def _integrate_by_parts(
+    current: Current, *, with_remainder: bool = False
+) -> tuple[tuple[Expr, Expr], Current | None]:
     """Integrate the divergence of a reduced current by parts down to the equation.
 
     Component a is differentiated along axis a; b is the other axis.  Where
     D_a J is principal for a jet J of the component, D_a J = D_b^n(leading);
     with c = dC_a/dJ and E the equation's left-hand side,
     c * D_b^n E = ((-D_b)^n c) * E + D_b(sum_m ((-D_b)^m c) * D_b^(n-1-m) E).
-    Returns each component's multiplier part and the remainder current.
+    Returns each component's multiplier part and, when with_remainder is
+    set, the remainder current (None otherwise).
     Inputs are canonical (light-cone) or reduced (space-time), so D_b never
     makes a principal jet and the plain total derivative is the restricted one.
     """
     frame = current.frame
     equation = equation_expression(frame)
     parts = []
-    remainder = [Expr.zero(), Expr.zero()]
+    remainder: tuple[list, list] = ([], [])
     for axis, component in enumerate((current.first, current.second)):
         other = 1 - axis
-        part = Expr.zero()
+        part = []
         for a in component.jets(frame.dependent):
             top = a.shifted(axis)
             if not frame.is_principal(top):
@@ -282,19 +279,23 @@ def _integrate_by_parts(current: Current) -> tuple[tuple[Expr, Expr], Current]:
             steps = [diff_partial(component, a)]  # (-D_b)^m c for m = 0..n
             for _ in range((top.i, top.j)[other] - frame.leading[other]):
                 steps.append(-total_derivative(steps[-1], frame, other))
-            shifted = equation  # D_b^(n-1-m) E, paired with steps[m]
-            for step in reversed(steps[:-1]):
-                remainder[other] = remainder[other] + step * shifted
-                shifted = total_derivative(shifted, frame, other)
-            part = part + steps[-1]
-        parts.append(part)
-    return (parts[0], parts[1]), Current(frame, remainder[0], remainder[1])
+            part.append(steps[-1])
+            if with_remainder:
+                shifted = equation  # D_b^(n-1-m) E, paired with steps[m]
+                for step in reversed(steps[:-1]):
+                    remainder[other].append(step * shifted)
+                    shifted = total_derivative(shifted, frame, other)
+        parts.append(Expr._sum(part))
+    if not with_remainder:
+        return (parts[0], parts[1]), None
+    rest = Current(frame, Expr._sum(remainder[0]), Expr._sum(remainder[1]))
+    return (parts[0], parts[1]), rest
 
 
 def _checked_remainder(current: Current) -> tuple[Expr, Current]:
     """Multiplier and remainder of a reduced conserved current; the divergence
     identity is asserted exactly before returning."""
-    parts, remainder = _integrate_by_parts(current)
+    parts, remainder = _integrate_by_parts(current, with_remainder=True)
     multiplier = parts[0] + parts[1]
     gap = (
         divergence(current)
@@ -366,15 +367,15 @@ def _invert_restricted(target: Expr, axis: int) -> Expr:
         raise UnsupportedIntegrandError(
             "triviality witnesses are computed for polynomial components only"
         )
-    result = Expr.zero()
+    steps = []  # the potential is their sum
     remaining = target
     for _ in range(200):
         if remaining.is_zero_literal:
-            return result
+            return Expr._sum(steps)
         levels = sorted(level(a) for a in remaining.jets("w"))
         if not levels:
-            step = integrate_univar(remaining, sym, lower=0)
-            return result + step
+            steps.append(integrate_univar(remaining, sym, lower=0))
+            return Expr._sum(steps)
         top = levels[-1]
         if top <= 1:
             raise UnsupportedIntegrandError(
@@ -386,7 +387,7 @@ def _invert_restricted(target: Expr, axis: int) -> Expr:
                 f"nonlinear dependence on {jet_at(top)} is not an exact derivative"
             )
         step = integrate_univar(cofactor, jet_at(top - 1), lower=0)
-        result = result + step
+        steps.append(step)
         remaining = remaining - restricted_derivative(step, LIGHTCONE, axis)
     raise AssertionError("witness inversion did not terminate")
 

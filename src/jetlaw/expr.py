@@ -13,6 +13,14 @@ Canonical form is maintained by construction: arithmetic merges monomials,
 drops zero coefficients, fuses products of exponentials (``exp(a)*exp(b)``
 becomes ``exp(a+b)``), and orders terms by a graded lexicographic rule so
 printing is deterministic and ``parse(str(e)) == e`` holds structurally.
+
+Sums are accumulated, never re-added: code that adds up many parts collects
+their monomials in one coefficient dict and builds a single Expr at the end
+(``Expr._sum``, or ``Expr._build`` on the dict it filled).  Folding
+``out = out + part`` over n parts re-sorts the growing result every time
+and costs O(n^2) in the term count.  Canonical form is unique and the
+coefficients are exact, so the order of accumulation never shows in a
+result.
 """
 
 from __future__ import annotations
@@ -146,6 +154,10 @@ def _mono_key(mono: Mono):
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     """Merge two monomials; products of exp factors fuse their arguments."""
+    if not m2:
+        return m1
+    if not m1:
+        return m2
     powers: dict[Atom, int] = {}
     exp_arg = None
     for a, p in (*m1, *m2):
@@ -164,12 +176,12 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 class Expr:
     """Canonical sum of monomials with Fraction coefficients. Immutable."""
 
-    __slots__ = ("_terms", "_hash")
+    # _hash and _atoms are filled on the first hash() and base_atoms() call
+    __slots__ = ("_terms", "_hash", "_atoms")
 
     def __init__(self, terms: tuple):
         # internal: terms must already be canonical (sorted, nonzero coeffs)
         object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
 
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
@@ -178,9 +190,19 @@ class Expr:
 
     @staticmethod
     def _build(coeffs: dict) -> "Expr":
-        items = [(m, c) for m, c in coeffs.items() if c != 0]
+        items = [(m, c) for m, c in coeffs.items() if c]
         items.sort(key=lambda mc: _mono_key(mc[0]), reverse=True)
         return Expr(tuple(items))
+
+    @staticmethod
+    def _sum(parts) -> "Expr":
+        """The sum of an iterable of Exprs, in one dict and one sort."""
+        coeffs: dict = {}
+        for part in parts:
+            for m, c in part._terms:
+                acc = coeffs.get(m)
+                coeffs[m] = c if acc is None else acc + c
+        return Expr._build(coeffs)
 
     @staticmethod
     def zero() -> "Expr":
@@ -226,6 +248,10 @@ class Expr:
 
     def base_atoms(self) -> frozenset:
         """All Sym and Jet atoms, including those inside function arguments."""
+        try:
+            return self._atoms
+        except AttributeError:
+            pass
         found = set()
         for mono, _ in self._terms:
             for a, _p in mono:
@@ -233,7 +259,9 @@ class Expr:
                     found |= a.arg.base_atoms()
                 else:
                     found.add(a)
-        return frozenset(found)
+        atoms = frozenset(found)
+        object.__setattr__(self, "_atoms", atoms)
+        return atoms
 
     def fn_atoms(self) -> frozenset:
         """All transcendental factors, including nested ones."""
@@ -258,15 +286,7 @@ class Expr:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        other = as_expr(other)
-        coeffs = dict(self._terms)
-        for m, c in other._terms:
-            acc = coeffs.get(m, Fraction(0)) + c
-            if acc:
-                coeffs[m] = acc
-            else:
-                coeffs.pop(m, None)
-        return Expr._build(coeffs)
+        return Expr._sum((self, as_expr(other)))
 
     __radd__ = __add__
 
@@ -285,11 +305,8 @@ class Expr:
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
                 m = _mono_mul(m1, m2)
-                acc = coeffs.get(m, Fraction(0)) + c1 * c2
-                if acc:
-                    coeffs[m] = acc
-                else:
-                    coeffs.pop(m, None)
+                acc = coeffs.get(m)
+                coeffs[m] = c1 * c2 if acc is None else acc + c1 * c2
         return Expr._build(coeffs)
 
     __rmul__ = __mul__
@@ -346,7 +363,13 @@ class Expr:
         return self._terms == other._terms
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        value = hash(self._terms)
+        object.__setattr__(self, "_hash", value)
+        return value
 
     # -- printing ----------------------------------------------------------
 
@@ -428,26 +451,45 @@ def diff_partial(e: Expr, v) -> Expr:
     """
     if not isinstance(v, (Sym, Jet)):
         raise TypeError("differentiation variable must be a symbol or jet atom")
-    out = _ZERO
+    return _derive(e, lambda a: _ONE if a == v else _ZERO)
+
+
+def _derive(e: Expr, base_derivative, memo: dict | None = None) -> Expr:
+    """Apply the derivation that maps each Sym/Jet atom a to base_derivative(a).
+
+    Function atoms follow the chain rule through their arguments, and each
+    atom's derivative is computed once per call (memo, shared with the
+    recursion into arguments).  ``diff_partial`` and
+    ``jets.total_derivative`` are this one pass with different atom maps.
+    """
+    if memo is None:
+        memo = {}
+    coeffs: dict = {}
     for mono, c in e.terms:
         for idx, (a, p) in enumerate(mono):
-            da = _atom_diff(a, v)
-            if da.is_zero_literal:
+            da = memo.get(a)
+            if da is None:
+                if isinstance(a, Fn):
+                    da = _chain_rule(a, _derive(a.arg, base_derivative, memo))
+                else:
+                    da = base_derivative(a)
+                memo[a] = da
+            if not da.terms:
                 continue
-            rest = list(mono)
             if p > 1:
-                rest[idx] = (a, p - 1)
+                rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
             else:
-                del rest[idx]
-            partial = Expr._build({tuple(rest): c * p})
-            out = out + partial * da
-    return out
+                rest = mono[:idx] + mono[idx + 1 :]
+            scale = c * p
+            for m2, c2 in da.terms:
+                m = _mono_mul(rest, m2)
+                acc = coeffs.get(m)
+                coeffs[m] = scale * c2 if acc is None else acc + scale * c2
+    return Expr._build(coeffs)
 
 
-def _atom_diff(a: Atom, v) -> Expr:
-    if isinstance(a, (Sym, Jet)):
-        return _ONE if a == v else _ZERO
-    darg = diff_partial(a.arg, v)
+def _chain_rule(a: Fn, darg: Expr) -> Expr:
+    """Derivative of a function atom whose argument has derivative darg."""
     if darg.is_zero_literal:
         return _ZERO
     if a.head == "exp":
@@ -475,19 +517,28 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
         if not isinstance(key, (Sym, Jet)):
             raise TypeError("substitution keys must be symbol or jet atoms")
         table[key] = as_expr(val)
-    out = _ZERO
-    for mono, c in e.terms:
-        term = Expr.from_rational(c)
-        for a, p in mono:
-            if isinstance(a, Fn):
-                factor = fn_apply(a.head, substitute(a.arg, table))
-            elif a in table:
-                factor = table[a]
-            else:
-                factor = Expr.from_atom(a)
-            term = term * factor**p
-        out = out + term
-    return out
+    images: dict = {}  # (atom, power) -> image ** power, filled per call
+
+    def products():
+        # one term at a time, so only the running sum is held
+        for mono, c in e.terms:
+            kept = []
+            factors = []
+            for a, p in mono:
+                if not (isinstance(a, Fn) or a in table):
+                    kept.append((a, p))
+                    continue
+                image = images.get((a, p))
+                if image is None:
+                    base = fn_apply(a.head, substitute(a.arg, table)) if isinstance(a, Fn) else table[a]
+                    image = images[a, p] = base**p
+                factors.append(image)
+            term = Expr(((tuple(kept), c),))  # a sub-tuple of a canonical monomial
+            for image in factors:
+                term = term * image
+            yield term
+
+    return Expr._sum(products())
 
 
 def integrate_univar(e: Expr, v, lower=0) -> Expr:
@@ -503,7 +554,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
         raise TypeError("integration variable must be a symbol or jet atom")
     lower = as_expr(lower)
     v_expr = Expr.from_atom(v)
-    anti = _ZERO
+    parts = []
     for mono, c in e.terms:
         k = 0
         trans = None
@@ -523,7 +574,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
                 trans = a
             else:
                 rest.append((a, p))
-        rest_expr = Expr._build({tuple(rest): c})
+        rest_expr = Expr(((tuple(rest), c),))
         if trans is None:
             part = rest_expr * v_expr ** (k + 1) / (k + 1)
         else:
@@ -538,7 +589,8 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
                 part = rest_expr * _trig_antiderivative(k, trans.head, slope, trans.arg, v_expr)
             else:
                 raise UnsupportedIntegrandError(f"cannot integrate {trans.head}(...)")
-        anti = anti + part
+        parts.append(part)
+    anti = Expr._sum(parts)
     return anti - substitute(anti, {v: lower})
 
 
@@ -725,15 +777,17 @@ class _Parser:
         return e
 
     def expression(self) -> Expr:
-        sign = 1
+        negate = self.peek()[0] == "-"
         if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.next()[0] == "-" else 1
-        e = self.term() * sign
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+            self.next()
+        terms = []
+        while True:
+            e = self.term()
+            terms.append(-e if negate else e)
+            if self.peek()[0] not in ("+", "-"):
+                break
+            negate = self.next()[0] == "-"
+        return terms[0] if len(terms) == 1 else Expr._sum(terms)
 
     def term(self) -> Expr:
         e = self.factor()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expr, Jet, Sym, as_expr, diff_partial, substitute
+from .expr import Expr, Jet, Sym, _derive, as_expr, diff_partial, substitute
 
 
 class FrameMismatchError(ValueError):
@@ -96,27 +96,35 @@ def _on_solutions(jet: Jet, frame: Frame) -> Expr:
     """D^s(leading) as the sum of D^s(e) over the jets e in equals, repeated
     until no principal jet is left."""
     li, lj = frame.leading
-    out = Expr.zero()
+    parts = []
     pending = [(jet.i, jet.j)]
     while pending:
         i, j = pending.pop()
         if i >= li and j >= lj:
             pending.extend((i - li + ei, j - lj + ej) for ei, ej in frame.equals)
         else:
-            out = out + as_expr(frame.jet(i, j))
-    return out
+            parts.append(as_expr(frame.jet(i, j)))
+    return Expr._sum(parts)
 
 
 def total_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
-    """Total derivative along frame variable 0 or 1, in the full jet space."""
+    """Total derivative along frame variable 0 or 1, in the full jet space.
+
+    One pass of the derivation sym -> 1, other symbol -> 0, jet -> the jet
+    shifted along the axis; function atoms differentiate their argument
+    the same way (chain rule).
+    """
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     check_frame(e, frame)
-    out = diff_partial(e, frame.symbol(axis))
-    for a in e.base_atoms():
+    sym = frame.symbol(axis)
+
+    def base_derivative(a) -> Expr:
         if isinstance(a, Jet):
-            out = out + as_expr(a.shifted(axis)) * diff_partial(e, a)
-    return out
+            return as_expr(a.shifted(axis))
+        return Expr.one() if a == sym else Expr.zero()
+
+    return _derive(e, base_derivative)
 
 
 def restricted_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
@@ -146,14 +154,12 @@ def euler_operator(lagrangian: Expr, frame: Frame) -> Expr:
     result annihilates exactly the total divergences.
     """
     check_frame(lagrangian, frame)
-    out = Expr.zero()
+    parts = []
     for a in sorted(lagrangian.jets(frame.dependent), key=lambda j: j.sort_key):
         term = diff_partial(lagrangian, a)
         for _ in range(a.i):
             term = total_derivative(term, frame, 0)
         for _ in range(a.j):
             term = total_derivative(term, frame, 1)
-        if (a.i + a.j) % 2:
-            term = -term
-        out = out + term
-    return out
+        parts.append(-term if (a.i + a.j) % 2 else term)
+    return Expr._sum(parts)

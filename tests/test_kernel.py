@@ -1,0 +1,210 @@
+"""The accumulation kernel: derivatives, substitution and products.
+
+Results are checked against sympy's expanded forms on seeded random
+polynomials, against the textbook definition of the total derivative on
+expressions with exp/sin/cos of jets, and for linear work: the number of
+monomials handed to ``Expr._build`` stays within a fixed multiple of the
+terms in plus the terms out.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jetlaw.expr import (
+    Expr,
+    Fn,
+    Jet,
+    Sym,
+    UnsupportedExpressionError,
+    as_expr,
+    diff_partial,
+    fn_apply,
+    integrate_univar,
+    parse,
+    substitute,
+)
+from jetlaw.jets import LIGHTCONE, SPACETIME, restricted_derivative, total_derivative
+
+LIGHTCONE_ATOMS = [Sym("xi"), Sym("eta"), Jet("w", 0, 0), Jet("w", 1, 0),
+                   Jet("w", 0, 1), Jet("w", 1, 1), Jet("w", 0, 2), Jet("w", 2, 1)]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    # sympy is installed in the test interpreter but not a declared dependency
+    return pytest.importorskip("sympy")
+
+
+def _symbol(sympy, atom):
+    if isinstance(atom, Sym):
+        return sympy.Symbol(atom.name)
+    return sympy.Symbol(f"{atom.var}_{atom.i}_{atom.j}")
+
+
+def _to_sympy(sympy, e: Expr):
+    heads = {"exp": sympy.exp, "sin": sympy.sin, "cos": sympy.cos, "ln": sympy.log}
+    total = sympy.Integer(0)
+    for mono, c in e.terms:
+        term = sympy.Rational(c.numerator, c.denominator)
+        for a, p in mono:
+            if isinstance(a, Fn):
+                term *= heads[a.head](_to_sympy(sympy, a.arg)) ** p
+            else:
+                term *= _symbol(sympy, a) ** p
+        total += term
+    return total
+
+
+def _random_poly(rng, atoms, terms, degree):
+    coeffs = {}
+    for _ in range(terms):
+        mono = tuple(sorted(rng.choices(range(len(atoms)), k=rng.randint(0, degree))))
+        coeffs[mono] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    out = Expr.zero()
+    for mono, c in coeffs.items():
+        term = as_expr(c)
+        for index in mono:
+            term = term * as_expr(atoms[index])
+        out = out + term
+    return out
+
+
+def _assert_matches(sympy, ours: Expr, expected):
+    """ours equals sympy's expansion, with one term per distinct monomial."""
+    expected = sympy.expand(expected)
+    assert sympy.expand(_to_sympy(sympy, ours) - expected) == 0
+    assert len(ours.terms) == (0 if expected == 0 else len(sympy.Add.make_args(expected)))
+
+
+SEEDS = range(12)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_diff_partial_matches_sympy(sympy, seed):
+    rng = random.Random(seed)
+    e = _random_poly(rng, LIGHTCONE_ATOMS, terms=12, degree=4)
+    for v in LIGHTCONE_ATOMS:
+        _assert_matches(sympy, diff_partial(e, v), sympy.diff(_to_sympy(sympy, e), _symbol(sympy, v)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_products_match_sympy(sympy, seed):
+    rng = random.Random(100 + seed)
+    a = _random_poly(rng, LIGHTCONE_ATOMS, terms=10, degree=3)
+    b = _random_poly(rng, LIGHTCONE_ATOMS, terms=10, degree=3)
+    _assert_matches(sympy, a * b, _to_sympy(sympy, a) * _to_sympy(sympy, b))
+    _assert_matches(sympy, a ** 2, _to_sympy(sympy, a) ** 2)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_substitute_matches_sympy(sympy, seed):
+    rng = random.Random(200 + seed)
+    e = _random_poly(rng, LIGHTCONE_ATOMS, terms=12, degree=4)
+    keys = rng.sample(LIGHTCONE_ATOMS, 3)
+    bindings = {k: _random_poly(rng, LIGHTCONE_ATOMS, terms=3, degree=2) for k in keys}
+    expected = _to_sympy(sympy, e).subs(
+        {_symbol(sympy, k): _to_sympy(sympy, v) for k, v in bindings.items()},
+        simultaneous=True,
+    )
+    _assert_matches(sympy, substitute(e, bindings), expected)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("frame", [LIGHTCONE, SPACETIME], ids=str)
+def test_total_derivative_matches_sympy(sympy, seed, frame):
+    rng = random.Random(300 + seed)
+    atoms = [frame.symbol(0), frame.symbol(1)] + [
+        frame.jet(i, j) for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 2))
+    ]
+    e = _random_poly(rng, atoms, terms=12, degree=4)
+    f = _to_sympy(sympy, e)
+    for axis in (0, 1):
+        expected = sympy.diff(f, _symbol(sympy, frame.symbol(axis))) + sum(
+            _symbol(sympy, a.shifted(axis)) * sympy.diff(f, _symbol(sympy, a))
+            for a in atoms[2:]
+        )
+        _assert_matches(sympy, total_derivative(e, frame, axis), expected)
+
+
+# --- total derivative: the pass equals its definition -----------------------
+
+JETS = [Jet("w", 0, 0), Jet("w", 1, 0), Jet("w", 0, 1), Jet("w", 2, 1)]
+
+
+@st.composite
+def chain_rule_expressions(draw):
+    """Polynomials in light-cone atoms times exp/sin/cos of jet polynomials."""
+    atoms = st.sampled_from(LIGHTCONE_ATOMS)
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = as_expr(draw(st.fractions(
+            min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * as_expr(draw(atoms))
+        for _ in range(draw(st.integers(0, 2))):
+            arg = as_expr(draw(st.integers(-2, 2))) * as_expr(draw(st.sampled_from(JETS)))
+            arg = arg + as_expr(draw(st.integers(-1, 1))) * as_expr(draw(atoms))
+            term = term * fn_apply(draw(st.sampled_from(["exp", "sin", "cos"])), arg)
+        e = e + term
+    return e
+
+
+def _total_derivative_by_definition(e: Expr, axis: int) -> Expr:
+    """D e = d e/d sym + sum over jets a of shifted(a) * d e/d a."""
+    out = diff_partial(e, LIGHTCONE.symbol(axis))
+    for a in e.base_atoms():
+        if isinstance(a, Jet):
+            out = out + as_expr(a.shifted(axis)) * diff_partial(e, a)
+    return out
+
+
+@given(chain_rule_expressions())
+@settings(max_examples=60, deadline=None)
+def test_total_derivative_equals_its_definition(e):
+    for axis in (0, 1):
+        assert total_derivative(e, LIGHTCONE, axis) == _total_derivative_by_definition(e, axis)
+
+
+@pytest.mark.parametrize("text", ["ln(w[0,1])", "xi*ln(1 + w[1,0]^2)", "exp(ln(w[0,0]))"])
+def test_total_derivative_rejects_ln_of_a_jet(text):
+    for axis in (0, 1):
+        with pytest.raises(UnsupportedExpressionError):
+            total_derivative(parse(text), LIGHTCONE, axis)
+
+
+def test_total_derivative_of_ln_of_the_other_symbol_is_zero():
+    assert total_derivative(parse("ln(eta)"), LIGHTCONE, 0) == Expr.zero()
+
+
+# --- complexity guard: work grows with the terms in and out -----------------
+
+S = parse("xi + 2*eta + 3*w[0,1] - w[1,0] + 5/2*w[0,2]")
+W01 = Jet("w", 0, 1)
+OPERATIONS = {
+    "diff_partial": lambda e: diff_partial(e, W01),
+    "total_derivative": lambda e: total_derivative(e, LIGHTCONE, 0),
+    "restricted_derivative": lambda e: restricted_derivative(e, LIGHTCONE, 1),
+    "integrate_univar": lambda e: integrate_univar(e, W01, lower=2),
+    "substitute": lambda e: substitute(e, {W01: as_expr(Jet("w", 0, 3)) + 1}),
+}
+# One constant for both sizes: quadratic accumulation would need about 7
+# at s^4 and over 60 at s^8.
+WORK_PER_TERM = 4
+
+
+@pytest.mark.parametrize("name", OPERATIONS)
+def test_monomials_built_grow_linearly(monkeypatch, name):
+    build = Expr._build
+    for n in (4, 8):
+        e = S**n
+        built = []
+        monkeypatch.setattr(
+            Expr, "_build", staticmethod(lambda coeffs: built.append(len(coeffs)) or build(coeffs))
+        )
+        out = OPERATIONS[name](e)
+        monkeypatch.setattr(Expr, "_build", staticmethod(build))
+        assert sum(built) <= WORK_PER_TERM * (len(e.terms) + len(out.terms)), (n, sum(built))
