@@ -400,11 +400,13 @@ def trivial_witness(current: CanonicalCurrent) -> TrivialWitness:
     are re-checked exactly before returning.
     """
     parts, _ = _integrate_by_parts(current)
-    constant = parts[0].as_rational()
-    if constant is None:
-        raise ValueError("current is not trivial: characteristic is non-constant")
     if not is_zero(parts[0] + parts[1]):
         raise ValueError("current is not trivial: nonzero characteristic")
+    constant = parts[0].as_rational()
+    if constant is None:  # trivial, but its constant is not a rational literal
+        raise UnsupportedIntegrandError(
+            f"triviality witness needs a rational constant, not {parts[0]}"
+        )
 
     w01 = as_expr(Jet("w", 0, 1))
     w10 = as_expr(Jet("w", 1, 0))

@@ -1,11 +1,12 @@
 """End-to-end command-line checks driven through main(argv)."""
 
+import argparse
 import io
 import json
 
 import pytest
 
-from jetlaw.cli import main
+from jetlaw.cli import _VALUE_OPTIONS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -201,6 +202,20 @@ def test_witness_refuses_nontrivial_current(capsys):
     assert out.strip() == "not trivial: nonzero characteristic"
 
 
+def test_witness_does_not_call_a_trivial_current_nontrivial(capsys):
+    # trivial only through sin^2 + cos^2 = 1: the witness constant is not a
+    # rational literal, so the certificate is unsupported, not refused
+    args = ["--first", "(sin(eta)^2+cos(eta)^2-1)*w[0,1]", "--second", "0"]
+    code, out, _ = run(capsys, "characteristic", *args)
+    assert (code, out.strip()) == (0, "sin(eta)^2 + cos(eta)^2 - 1 (trivial)")
+    code, out, _ = run(capsys, "is-trivial", *args)
+    assert (code, out.strip()) == (0, "trivial: true")
+    code, out, err = run(capsys, "witness", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert "not trivial" not in err
+
+
 # --- multiplier verdicts ----------------------------------------------------------------
 
 def test_is_characteristic_accepts_and_rejects(capsys):
@@ -337,3 +352,18 @@ def test_unknown_subcommand_raises_system_exit(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_value_options_match_the_parser():
+    # _VALUE_OPTIONS is kept by hand; an option missing from it rejects
+    # values that start with a minus sign, such as --second -w[1,0]
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    taking_values = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        if action.nargs != 0
+        for option in action.option_strings
+    }
+    assert taking_values == _VALUE_OPTIONS

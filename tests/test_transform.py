@@ -1,11 +1,15 @@
 """Exact translation of expressions, currents, and multipliers between frames."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetlaw.expr import is_zero, parse
-from jetlaw.jets import LIGHTCONE, SPACETIME, reduce_to_solutions
+from jetlaw import transform
+from jetlaw.expr import Expr, as_expr, fn_apply, is_zero, parse
+from jetlaw.jets import LIGHTCONE, SPACETIME, reduce_to_solutions, restricted_derivative
 from jetlaw.conservation import (
     CanonicalCurrent,
     Characteristic,
@@ -228,3 +232,69 @@ def test_random_round_trips_from_spacetime():
         e = _random_solution_expression(rng, SPACETIME)
         back = substitute_to_spacetime(substitute_to_lightcone(e))
         assert is_zero(back - reduce_to_solutions(e, SPACETIME))
+
+
+# --- the chain rule, on jets of high order -------------------------------------------
+
+
+@st.composite
+def reduced_expressions(draw, frame):
+    """Reduced polynomials in the frame's atoms, jets up to order 9, times
+    exp/sin/cos of a jet plus an atom."""
+    if frame is LIGHTCONE:
+        jets = [frame.jet(n, 0) for n in range(10)] + [frame.jet(0, n) for n in range(1, 10)]
+    else:
+        jets = [frame.jet(0, n) for n in range(10)] + [frame.jet(1, n) for n in range(9)]
+    atoms = st.sampled_from(jets + [frame.symbol(0), frame.symbol(1)])
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = as_expr(draw(st.fractions(
+            min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * as_expr(draw(atoms))
+        for _ in range(draw(st.integers(0, 2))):
+            arg = as_expr(draw(st.integers(-2, 2))) * as_expr(draw(st.sampled_from(jets)))
+            arg = arg + as_expr(draw(st.integers(-1, 1))) * as_expr(draw(atoms))
+            term = term * fn_apply(draw(st.sampled_from(["exp", "sin", "cos"])), arg)
+        e = e + term
+    return e
+
+
+def _pulled_derivative(e, source, target, to_target, mixing, axis):
+    """to_target(D_axis e) and sum_b mixing[axis][b] * D_b to_target(e)."""
+    left = to_target(restricted_derivative(e, source, axis))
+    image = to_target(e)
+    right = Expr.zero()
+    for b, c in enumerate(mixing[axis]):
+        right = right + c * restricted_derivative(image, target, b)
+    return left, right
+
+
+@given(reduced_expressions(LIGHTCONE))
+@settings(max_examples=100, deadline=None)
+def test_spacetime_image_obeys_the_chain_rule(e):
+    # D_xi = 1/2 (D_t + D_x), D_eta = 1/2 (D_x - D_t)
+    mixing = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)))
+    for axis in (0, 1):
+        left, right = _pulled_derivative(
+            e, LIGHTCONE, SPACETIME, substitute_to_spacetime, mixing, axis
+        )
+        assert left == right
+
+
+@given(reduced_expressions(SPACETIME))
+@settings(max_examples=100, deadline=None)
+def test_lightcone_image_obeys_the_chain_rule(e):
+    # D_t = D_xi - D_eta, D_x = D_xi + D_eta
+    mixing = ((1, -1), (1, 1))
+    for axis in (0, 1):
+        left, right = _pulled_derivative(
+            e, SPACETIME, LIGHTCONE, substitute_to_lightcone, mixing, axis
+        )
+        assert left == right
+
+
+def test_image_caches_keep_the_benchmark_hooks():
+    # perfbench/run.py clears and reads both caches through these attributes
+    for image in (transform._spacetime_image, transform._lightcone_image):
+        assert callable(image.cache_clear) and callable(image.cache_info)
