@@ -21,18 +21,28 @@ their monomials in one coefficient dict and builds a single Expr at the end
 and costs O(n^2) in the term count.  Canonical form is unique and the
 coefficients are exact, so the order of accumulation never shows in a
 result.
+
+Atoms are interned: ``Sym``, ``Jet`` and ``Fn`` make one instance per
+value, so ``==`` and ``hash`` are the identity defaults of ``object`` and
+a monomial's dict lookup hashes no fields.  Each atom stores its sort key
+as a plain attribute when it is made, so sorting never rebuilds one, and
+a product of two monomials is a linear merge of their sorted atom tuples
+(only exp factors, which fuse into one, take a dict and a sort).  The
+``Jet`` and ``Fn`` intern tables hold their atoms weakly: an atom, and
+with it an ``Fn``'s argument expression, lives only as long as something
+else refers to it.  Pickling and copying return the interned instance.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 from typing import Mapping, Union
-
-import mpmath
 
 SYMBOL_NAMES = ("xi", "eta", "t", "x")
 FUNCTION_NAMES = ("exp", "sin", "cos", "ln")
@@ -59,42 +69,80 @@ class UnsupportedIntegrandError(ValueError):
 # ---------------------------------------------------------------------------
 # atoms
 
+_INTERN_LOCK = threading.Lock()
 
-@dataclass(frozen=True)
-class Sym:
+
+class _Atom:
+    """Base of the interned atoms: one instance per value, never mutated.
+
+    Equal values are the same object, so ``==`` and ``hash`` are the
+    identity defaults of ``object``.  ``sort_key`` is computed once, when
+    the instance is made.  Each subclass's own ``__slots__`` are its fields.
+    """
+
+    __slots__ = ("sort_key", "__weakref__")
+
+    @classmethod
+    def _intern(cls, key, sort_key, *fields):
+        """The one instance for key, made from fields the first time."""
+        with _INTERN_LOCK:  # two threads must not make two instances of one value
+            self = cls._interned.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    object.__setattr__(self, name, value)
+                object.__setattr__(self, "sort_key", sort_key)
+                cls._interned[key] = self
+            return self
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # unpickling and copying go through __new__, which returns the interned instance
+        return type(self), self._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields()))
+        return f"{type(self).__name__}({body})"
+
+
+class Sym(_Atom):
     """An independent variable: one of xi, eta, t, x."""
 
-    name: str
+    __slots__ = ("name",)
+    _interned: dict = {}  # name -> Sym, four entries at most
 
-    def __post_init__(self):
-        if self.name not in SYMBOL_NAMES:
-            raise ValueError(f"unknown independent symbol {self.name!r}")
-
-    @property
-    def sort_key(self):
-        return (0, SYMBOL_NAMES.index(self.name))
+    def __new__(cls, name: str):
+        if name not in SYMBOL_NAMES:
+            raise ValueError(f"unknown independent symbol {name!r}")
+        return cls._interned.get(name) or cls._intern(name, (0, SYMBOL_NAMES.index(name)), name)
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(_Atom):
     """Jet coordinate var[i,j]: d^(i+j) var / d(first)^i d(second)^j."""
 
-    var: str
-    i: int
-    j: int
+    __slots__ = ("var", "i", "j")
+    _interned = weakref.WeakValueDictionary()  # (var, i, j) -> Jet
 
-    def __post_init__(self):
-        if self.var in SYMBOL_NAMES or self.var in FUNCTION_NAMES:
-            raise ValueError(f"reserved name {self.var!r} cannot be a jet variable")
-        if self.i < 0 or self.j < 0:
-            raise ValueError(f"negative jet index in {self.var}[{self.i},{self.j}]")
-
-    @property
-    def sort_key(self):
-        return (1, self.var, self.i, self.j)
+    def __new__(cls, var: str, i: int, j: int):
+        self = cls._interned.get((var, i, j))
+        if self is None:
+            if var in SYMBOL_NAMES or var in FUNCTION_NAMES:
+                raise ValueError(f"reserved name {var!r} cannot be a jet variable")
+            if i < 0 or j < 0:
+                raise ValueError(f"negative jet index in {var}[{i},{j}]")
+            self = cls._intern((var, i, j), (1, var, i, j), var, i, j)
+        return self
 
     @property
     def order(self) -> int:
@@ -110,8 +158,7 @@ class Jet:
         return f"{self.var}[{self.i},{self.j}]"
 
 
-@dataclass(frozen=True)
-class Fn:
+class Fn(_Atom):
     """A transcendental factor head(arg) with head in exp/sin/cos/ln.
 
     Instances are created through :func:`fn_apply`, which folds special
@@ -120,16 +167,16 @@ class Fn:
     representation.
     """
 
-    head: str
-    arg: "Expr"
+    __slots__ = ("head", "arg")
+    _interned = weakref.WeakValueDictionary()  # (head, arg) -> Fn
 
-    def __post_init__(self):
-        if self.head not in FUNCTION_NAMES:
-            raise ValueError(f"unknown function {self.head!r}")
-
-    @cached_property
-    def sort_key(self):
-        return (2, str(self))
+    def __new__(cls, head: str, arg: "Expr"):
+        self = cls._interned.get((head, arg))
+        if self is None:
+            if head not in FUNCTION_NAMES:
+                raise ValueError(f"unknown function {head!r}")
+            self = cls._intern((head, arg), (2, f"{head}({arg})"), head, arg)
+        return self
 
     def __str__(self):
         return f"{self.head}({self.arg})"
@@ -148,16 +195,58 @@ Mono = tuple
 
 
 def _mono_key(mono: Mono):
-    degree = sum(p for _, p in mono)
-    return (degree, tuple((a.sort_key, p) for a, p in reversed(mono)))
+    return (sum([p for _, p in mono]), tuple([(a.sort_key, p) for a, p in reversed(mono)]))
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Merge two monomials; products of exp factors fuse their arguments."""
+    """Merge two monomials; products of exp factors fuse their arguments.
+
+    Function atoms sort last, so unless both monomials end in one, no exp
+    factors meet and the product is a merge of the two sorted tuples.
+    """
     if not m2:
         return m1
     if not m1:
         return m2
+    if type(m1[-1][0]) is Fn and type(m2[-1][0]) is Fn:
+        return _mono_mul_fused(m1, m2)
+    a1, p1 = m1[0]
+    a2, p2 = m2[0]
+    k1, k2 = a1.sort_key, a2.sort_key
+    if m1[-1][0].sort_key < k2:  # all of m1 sorts before all of m2
+        return m1 + m2
+    n1, n2 = len(m1), len(m2)
+    i = j = 0
+    out = []
+    while True:
+        if a1 is a2:
+            out.append((a1, p1 + p2))
+            i += 1
+            j += 1
+            if i == n1 or j == n2:
+                break
+            a1, p1 = m1[i]
+            a2, p2 = m2[j]
+            k1, k2 = a1.sort_key, a2.sort_key
+        elif k1 < k2:
+            out.append(m1[i])
+            i += 1
+            if i == n1:
+                break
+            a1, p1 = m1[i]
+            k1 = a1.sort_key
+        else:
+            out.append(m2[j])
+            j += 1
+            if j == n2:
+                break
+            a2, p2 = m2[j]
+            k2 = a2.sort_key
+    return (*out, *m1[i:], *m2[j:])
+
+
+def _mono_mul_fused(m1: Mono, m2: Mono) -> Mono:
+    """The product through a power dict and a sort, fusing exp factors."""
     powers: dict[Atom, int] = {}
     exp_arg = None
     for a, p in (*m1, *m2):
@@ -173,6 +262,18 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(factors)
 
 
+def _mul_into(coeffs: dict, left, right) -> dict:
+    """Add every product of a left and a right (monomial, coefficient) pair
+    into coeffs."""
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m = _mono_mul(m1, m2)
+            c = c1 * c2
+            acc = coeffs.get(m)
+            coeffs[m] = c if acc is None else acc + c
+    return coeffs
+
+
 class Expr:
     """Canonical sum of monomials with Fraction coefficients. Immutable."""
 
@@ -185,6 +286,9 @@ class Expr:
 
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
+
+    def __reduce__(self):
+        return Expr, (self._terms,)
 
     # -- construction ------------------------------------------------------
 
@@ -301,13 +405,11 @@ class Expr:
 
     def __mul__(self, other) -> "Expr":
         other = as_expr(other)
-        coeffs: dict = {}
-        for m1, c1 in self._terms:
-            for m2, c2 in other._terms:
-                m = _mono_mul(m1, m2)
-                acc = coeffs.get(m)
-                coeffs[m] = c1 * c2 if acc is None else acc + c1 * c2
-        return Expr._build(coeffs)
+        if len(self._terms) == 1 == len(other._terms):
+            # one monomial times one: nothing to collect or sort
+            (m1, c1), (m2, c2) = self._terms[0], other._terms[0]
+            return Expr(((_mono_mul(m1, m2), c1 * c2),))
+        return Expr._build(_mul_into({}, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -480,11 +582,7 @@ def _derive(e: Expr, base_derivative, memo: dict | None = None) -> Expr:
                 rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
             else:
                 rest = mono[:idx] + mono[idx + 1 :]
-            scale = c * p
-            for m2, c2 in da.terms:
-                m = _mono_mul(rest, m2)
-                acc = coeffs.get(m)
-                coeffs[m] = scale * c2 if acc is None else acc + scale * c2
+            _mul_into(coeffs, ((rest, c * p),), da.terms)
     return Expr._build(coeffs)
 
 
@@ -518,27 +616,29 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
             raise TypeError("substitution keys must be symbol or jet atoms")
         table[key] = as_expr(val)
     images: dict = {}  # (atom, power) -> image ** power, filled per call
-
-    def products():
-        # one term at a time, so only the running sum is held
-        for mono, c in e.terms:
-            kept = []
-            factors = []
-            for a, p in mono:
-                if not (isinstance(a, Fn) or a in table):
-                    kept.append((a, p))
-                    continue
-                image = images.get((a, p))
-                if image is None:
-                    base = fn_apply(a.head, substitute(a.arg, table)) if isinstance(a, Fn) else table[a]
-                    image = images[a, p] = base**p
-                factors.append(image)
-            term = Expr(((tuple(kept), c),))  # a sub-tuple of a canonical monomial
-            for image in factors:
-                term = term * image
-            yield term
-
-    return Expr._sum(products())
+    coeffs: dict = {}
+    for mono, c in e.terms:
+        kept = []
+        factors = []
+        for a, p in mono:
+            if not (isinstance(a, Fn) or a in table):
+                kept.append((a, p))
+                continue
+            image = images.get((a, p))
+            if image is None:
+                base = fn_apply(a.head, substitute(a.arg, table)) if isinstance(a, Fn) else table[a]
+                image = images[a, p] = base**p
+            factors.append(image._terms)
+        if not factors:
+            acc = coeffs.get(mono)
+            coeffs[mono] = c if acc is None else acc + c
+            continue
+        # the term's product of images, expanded in raw coefficient dicts
+        product = ((tuple(kept), c),)  # kept is a sub-tuple of a canonical monomial
+        for image in factors[:-1]:
+            product = _mul_into({}, product, image).items()
+        _mul_into(coeffs, product, factors[-1])
+    return Expr._build(coeffs)
 
 
 def integrate_univar(e: Expr, v, lower=0) -> Expr:
@@ -654,6 +754,7 @@ def zero_verdict(e: Expr, *, samples: int = 8, seed: int = 42) -> ZeroVerdict:
         return ZeroVerdict(True, False)
     if _decidable(e):
         return ZeroVerdict(False, False)
+    mpmath, _ = _mp()
     rng = random.Random(seed)
     atoms = sorted(e.base_atoms(), key=lambda a: a.sort_key)
     with mpmath.workdps(80):
@@ -671,15 +772,23 @@ def is_zero(e: Expr, *, samples: int = 8, seed: int = 42) -> bool:
     return zero_verdict(e, samples=samples, seed=seed).zero
 
 
+@cache
+def _mp():
+    """mpmath and its functions by head, imported by the first sampled zero
+    test: exact verdicts, and so most runs of the CLI, never load it."""
+    import mpmath
+
+    return mpmath, {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos, "ln": mpmath.log}
+
+
 def _mp_number(q: Fraction):
+    mpmath, _ = _mp()
     return mpmath.mpf(q.numerator) / mpmath.mpf(q.denominator)
-
-
-_MP_FUNCS = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos, "ln": mpmath.log}
 
 
 def _eval_mp(e: Expr, env: Mapping):
     """High-precision evaluation; returns (value, largest term magnitude)."""
+    mpmath, funcs = _mp()
     total = mpmath.mpf(0)
     scale = mpmath.mpf(0)
     for mono, c in e.terms:
@@ -687,7 +796,7 @@ def _eval_mp(e: Expr, env: Mapping):
         for a, p in mono:
             if isinstance(a, Fn):
                 inner, _ = _eval_mp(a.arg, env)
-                term = term * _MP_FUNCS[a.head](inner) ** p
+                term = term * funcs[a.head](inner) ** p
             else:
                 term = term * _mp_number(env[a]) ** p
         total = total + term

@@ -99,22 +99,21 @@ def substitute_to_lightcone(e: Expr) -> Expr:
 def current_to_spacetime(current: Current) -> Current:
     if current.frame is not LIGHTCONE:
         raise ValueError("expected a light-cone current")
-    reduced = current.reduced()
+    # substitute_to_spacetime reduces its input, and reduction is linear
     return Current(
         SPACETIME,
-        substitute_to_spacetime(reduced.first - reduced.second),
-        substitute_to_spacetime(reduced.first + reduced.second),
+        substitute_to_spacetime(current.first - current.second),
+        substitute_to_spacetime(current.first + current.second),
     )
 
 
 def current_to_lightcone(current: Current) -> Current:
     if current.frame is not SPACETIME:
         raise ValueError("expected a space-time current")
-    reduced = current.reduced()
     return Current(
         LIGHTCONE,
-        substitute_to_lightcone(HALF * (reduced.first + reduced.second)),
-        substitute_to_lightcone(HALF * (reduced.second - reduced.first)),
+        substitute_to_lightcone(HALF * (current.first + current.second)),
+        substitute_to_lightcone(HALF * (current.second - current.first)),
     )
 
 

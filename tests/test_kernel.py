@@ -1,25 +1,36 @@
-"""The accumulation kernel: derivatives, substitution and products.
+"""The accumulation kernel: atoms, monomial products, derivatives and
+substitution.
 
 Results are checked against sympy's expanded forms on seeded random
 polynomials, against the textbook definition of the total derivative on
 expressions with exp/sin/cos of jets, and for linear work: the number of
 monomials handed to ``Expr._build`` stays within a fixed multiple of the
-terms in plus the terms out.
+terms in plus the terms out.  Atoms are interned, and the merge-based
+monomial product is checked against a dict-and-sort reference.
 """
 
+import copy
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetlaw
 from jetlaw.expr import (
     Expr,
     Fn,
     Jet,
     Sym,
     UnsupportedExpressionError,
+    _mono_mul,
     as_expr,
     diff_partial,
     fn_apply,
@@ -28,6 +39,7 @@ from jetlaw.expr import (
     substitute,
 )
 from jetlaw.jets import LIGHTCONE, SPACETIME, restricted_derivative, total_derivative
+from jetlaw.transform import substitute_to_spacetime
 
 LIGHTCONE_ATOMS = [Sym("xi"), Sym("eta"), Jet("w", 0, 0), Jet("w", 1, 0),
                    Jet("w", 0, 1), Jet("w", 1, 1), Jet("w", 0, 2), Jet("w", 2, 1)]
@@ -35,7 +47,7 @@ LIGHTCONE_ATOMS = [Sym("xi"), Sym("eta"), Jet("w", 0, 0), Jet("w", 1, 0),
 
 @pytest.fixture(scope="module")
 def sympy():
-    # sympy is installed in the test interpreter but not a declared dependency
+    # sympy is in the `test` extra; only these tests skip where it is missing
     return pytest.importorskip("sympy")
 
 
@@ -190,6 +202,7 @@ OPERATIONS = {
     "restricted_derivative": lambda e: restricted_derivative(e, LIGHTCONE, 1),
     "integrate_univar": lambda e: integrate_univar(e, W01, lower=2),
     "substitute": lambda e: substitute(e, {W01: as_expr(Jet("w", 0, 3)) + 1}),
+    "substitute_to_spacetime": substitute_to_spacetime,
 }
 # One constant for both sizes: quadratic accumulation would need about 7
 # at s^4 and over 60 at s^8.
@@ -208,3 +221,160 @@ def test_monomials_built_grow_linearly(monkeypatch, name):
         out = OPERATIONS[name](e)
         monkeypatch.setattr(Expr, "_build", staticmethod(build))
         assert sum(built) <= WORK_PER_TERM * (len(e.terms) + len(out.terms)), (n, sum(built))
+
+
+# --- interned atoms -----------------------------------------------------------
+
+
+ATOM_VALUES = [
+    lambda: Sym("eta"),
+    lambda: Jet("w", 2, 1),
+    lambda: Fn("exp", parse("2*w[0,1] - xi")),
+    lambda: Fn("sin", parse("w[1,0]*exp(w[0,2])")),
+]
+
+
+@pytest.mark.parametrize("make", ATOM_VALUES)
+def test_equal_atoms_are_one_instance(make):
+    atom = make()
+    assert make() is atom
+    assert pickle.loads(pickle.dumps(atom)) is atom
+    assert copy.copy(atom) is atom
+    assert copy.deepcopy(atom) is atom
+    assert copy.deepcopy([atom, atom]) == [atom, atom]
+    assert hash(atom) == object.__hash__(atom)
+    assert make().sort_key is atom.sort_key
+
+
+def test_atoms_in_parsed_and_pickled_expressions_are_shared():
+    e = parse("exp(w[0,1])*xi + w[0,1]^2")
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e
+    assert again.base_atoms() == e.base_atoms()
+    mine = {a for mono, _ in e.terms for a, _p in mono}
+    theirs = {a for mono, _ in again.terms for a, _p in mono}
+    assert all(any(a is b for b in mine) for a in theirs)
+
+
+@pytest.mark.parametrize("make", ATOM_VALUES)
+def test_atoms_are_immutable(make):
+    atom = make()
+    with pytest.raises(AttributeError):
+        atom.sort_key = (9,)
+    with pytest.raises(AttributeError):
+        atom.extra = 1
+    with pytest.raises(AttributeError):
+        del atom.sort_key
+
+
+def test_atom_validation_errors_are_unchanged():
+    cases = [
+        (lambda: Sym("y"), "unknown independent symbol 'y'"),
+        (lambda: Jet("xi", 0, 0), "reserved name 'xi' cannot be a jet variable"),
+        (lambda: Jet("exp", 0, 0), "reserved name 'exp' cannot be a jet variable"),
+        (lambda: Jet("w", -1, 0), "negative jet index in w[-1,0]"),
+        (lambda: Jet("w", 0, -2), "negative jet index in w[0,-2]"),
+        (lambda: Fn("tan", parse("t")), "unknown function 'tan'"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    # a failed construction leaves nothing interned
+    with pytest.raises(ValueError):
+        Jet("w", -1, 0)
+    assert ("w", -1, 0) not in Jet._interned
+
+
+def test_atom_repr_names_its_fields():
+    assert repr(Sym("t")) == "Sym(name='t')"
+    assert repr(Jet("w", 0, 1)) == "Jet(var='w', i=0, j=1)"
+    assert repr(Fn("cos", parse("t"))) == "Fn(head='cos', arg=Expr('t'))"
+
+
+def test_intern_table_does_not_keep_function_atoms_alive():
+    atom = Fn("exp", parse("17*w[3,0] + 13*eta^5"))
+    text = str(atom.arg)
+    ref = weakref.ref(atom)
+    assert any(str(arg) == text for _head, arg in list(Fn._interned.keys()))
+    del atom
+    gc.collect()
+    assert ref() is None
+    assert not any(str(arg) == text for _head, arg in list(Fn._interned.keys()))
+
+
+def test_fused_exp_factor_is_the_interned_atom():
+    product = parse("exp(w[0,1])*xi") * parse("exp(w[1,0])*eta")
+    (mono, _c), = product.terms
+    fused = mono[-1][0]
+    arg = parse("w[0,1] + w[1,0]")
+    assert fused is Fn("exp", arg)
+    assert fused.sort_key == (2, f"exp({arg})")
+
+
+# --- merge-based monomial product -------------------------------------------
+
+FN_ARGS = [parse(text) for text in ("w[0,1]", "2*xi - w[1,0]", "w[0,2]^2", "-eta")]
+
+
+def _reference_mono_mul(m1, m2):
+    """The product through a power dict and one sort, with exp fusion."""
+    powers = {}
+    exp_arg = None
+    for a, p in (*m1, *m2):
+        if isinstance(a, Fn) and a.head == "exp":
+            contrib = a.arg * p
+            exp_arg = contrib if exp_arg is None else exp_arg + contrib
+        else:
+            powers[a] = powers.get(a, 0) + p
+    factors = [(a, p) for a, p in powers.items() if p]
+    if exp_arg is not None and not exp_arg.is_zero_literal:
+        factors.append((Fn("exp", exp_arg), 1))
+    return tuple(sorted(factors, key=lambda ap: ap[0].sort_key))
+
+
+@st.composite
+def monomials(draw):
+    """A canonical monomial: sorted distinct atoms, at most one exp factor."""
+    atoms = draw(st.lists(st.sampled_from(LIGHTCONE_ATOMS + [Jet("w", 5, 0)]), unique=True, max_size=5))
+    powers = {a: draw(st.integers(1, 4)) for a in atoms}
+    for head in draw(st.lists(st.sampled_from(["exp", "sin", "cos"]), unique=True, max_size=2)):
+        atom = Fn(head, draw(st.sampled_from(FN_ARGS)))
+        powers[atom] = 1 if head == "exp" else draw(st.integers(1, 3))
+    return tuple(sorted(powers.items(), key=lambda ap: ap[0].sort_key))
+
+
+@given(monomials(), monomials())
+@settings(max_examples=300, deadline=None)
+def test_merged_monomial_product_matches_dict_and_sort(m1, m2):
+    assert _mono_mul(m1, m2) == _reference_mono_mul(m1, m2)
+    assert _mono_mul(m2, m1) == _mono_mul(m1, m2)
+
+
+# --- mpmath is loaded by sampled zero tests only -------------------------------
+
+
+def _modules_after(code: str) -> str:
+    """Whether mpmath is loaded after code runs in a fresh interpreter."""
+    package_root = os.path.dirname(os.path.dirname(jetlaw.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('mpmath' in sys.modules)"],
+        capture_output=True, text=True, check=True, timeout=60, env=env,
+    )
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_mpmath_is_imported_only_when_a_zero_test_samples():
+    polynomial = (
+        "import jetlaw.cli\n"
+        "code = jetlaw.cli.main(['verify', '--first', 'w[0,1]^2', '--second', '-w[1,0]^2'])\n"
+        "assert code in (0, 1), code"
+    )
+    assert _modules_after(polynomial) == "False"
+    sampled = (
+        "from jetlaw.expr import parse, zero_verdict\n"
+        "assert zero_verdict(parse('sin(w[0,1])^2 + cos(w[0,1])^2 - 1')).probabilistic"
+    )
+    assert _modules_after(sampled) == "True"

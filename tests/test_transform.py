@@ -157,6 +157,26 @@ def test_current_transform_checks_frame():
         current_to_lightcone(Current(LIGHTCONE, parse("-w[0,1]"), parse("-w[1,0]")))
 
 
+def test_current_components_are_reduced_once(monkeypatch):
+    # every reduction a current transform makes, whichever module binds it
+    from jetlaw import conservation
+
+    calls = []
+
+    def counted(e, frame):
+        calls.append(e)
+        return reduce_to_solutions(e, frame)
+
+    monkeypatch.setattr(transform, "reduce_to_solutions", counted)
+    monkeypatch.setattr(conservation, "reduce_to_solutions", counted)
+    light = Current(LIGHTCONE, parse("w[1,1]*w[0,1] + xi"), parse("w[2,1] - w[1,0]^2"))
+    space = Current(SPACETIME, parse("u[2,0]*u[0,1]"), parse("u[3,1] + t*u[1,0]"))
+    moved = (current_to_spacetime(light), current_to_lightcone(space))
+    assert len(calls) == 4  # 2 per current: one per substituted component
+    monkeypatch.undo()
+    assert moved == (current_to_spacetime(light.reduced()), current_to_lightcone(space.reduced()))
+
+
 def test_canonical_input_stays_current():
     cur = CanonicalCurrent(LIGHTCONE, parse("w[0,1]^2"), parse("-w[1,0]^2"))
     out = current_to_spacetime(cur)
