@@ -179,7 +179,9 @@ def _cmd_verify(args, config: Config) -> int:
 
 def _cmd_normalize(args, config: Config) -> int:
     current = _as_lightcone(_load_current(args))
-    canonical = normalize_current(current, config.reference_point)
+    canonical = normalize_current(
+        current, config.reference_point, samples=config.samples, seed=config.seed
+    )
     _emit(
         config,
         [f"first: {canonical.first}", f"second: {canonical.second}"],
@@ -190,7 +192,9 @@ def _cmd_normalize(args, config: Config) -> int:
 
 def _cmd_characteristic(args, config: Config) -> int:
     source = _load_current(args)
-    canonical = normalize_current(_as_lightcone(source), config.reference_point)
+    canonical = normalize_current(
+        _as_lightcone(source), config.reference_point, samples=config.samples, seed=config.seed
+    )
     lam = characteristic_canonical(canonical)
     if source.frame is not LIGHTCONE:
         lam = characteristic_to_spacetime(lam)
@@ -204,7 +208,7 @@ def _cmd_characteristic(args, config: Config) -> int:
 
 def _cmd_is_trivial(args, config: Config) -> int:
     current = _as_lightcone(_load_current(args))
-    verdict = is_trivial(current, config.reference_point)
+    verdict = is_trivial(current, config.reference_point, samples=config.samples, seed=config.seed)
     _emit(
         config,
         [f"trivial: {str(verdict).lower()}"],
@@ -215,15 +219,17 @@ def _cmd_is_trivial(args, config: Config) -> int:
 
 def _cmd_witness(args, config: Config) -> int:
     current = _as_lightcone(_load_current(args))
-    canonical = normalize_current(current, config.reference_point)
-    if not is_trivial(canonical):
+    canonical = normalize_current(
+        current, config.reference_point, samples=config.samples, seed=config.seed
+    )
+    if not is_trivial(canonical, samples=config.samples, seed=config.seed):
         _emit(
             config,
             ["not trivial: nonzero characteristic"],
             {"kind": "triviality", "trivial": False},
         )
         return 1
-    witness = trivial_witness(canonical)
+    witness = trivial_witness(canonical, samples=config.samples, seed=config.seed)
     _emit(
         config,
         [
@@ -377,6 +383,9 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:  # every input error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:  # the parser and the kernel recurse once per nesting level
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
 
 

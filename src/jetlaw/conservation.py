@@ -184,7 +184,7 @@ def _xi_orders(e: Expr) -> list[int]:
 
 
 def normalize_current(
-    current: Current, point: ReferenceJetPoint = ORIGIN
+    current: Current, point: ReferenceJetPoint = ORIGIN, *, samples: int = 8, seed: int = 42
 ) -> CanonicalCurrent:
     """Bring a conserved light-cone current to canonical shape.
 
@@ -194,13 +194,14 @@ def normalize_current(
     xi-derivative dependence (w itself included) of F from highest order
     down, integrating the matching slice of G from the reference point;
     strip the xi dependence of F the same way; the conservation identity
-    then forces G into xi-sided shape.
+    then forces G into xi-sided shape.  samples and seed configure the
+    zero tests, as in ``verify_current``.
     """
     if current.frame is not LIGHTCONE:
         raise ValueError("normalization operates on light-cone currents")
     first = reduce_to_solutions(current.first, LIGHTCONE)
     second = reduce_to_solutions(current.second, LIGHTCONE)
-    if not is_zero(_restricted_divergence(LIGHTCONE, first, second)):
+    if not is_zero(_restricted_divergence(LIGHTCONE, first, second), samples=samples, seed=seed):
         raise NotConservedError("divergence does not vanish on solutions")
 
     # Stripping the w[q,0]-dependence via the substitution F|_{w[q,0]=p}
@@ -246,7 +247,7 @@ def normalize_current(
         if first.depends_on(Sym("xi")):
             raise NotConservedError("could not eliminate xi from the first component")
 
-    if not is_zero(restricted_derivative(second, LIGHTCONE, 1)):
+    if not is_zero(restricted_derivative(second, LIGHTCONE, 1), samples=samples, seed=seed):
         raise NotConservedError("second component retains eta-side dependence")
     return CanonicalCurrent(LIGHTCONE, first, second)
 
@@ -292,7 +293,7 @@ def _integrate_by_parts(
     return (parts[0], parts[1]), rest
 
 
-def _checked_remainder(current: Current) -> tuple[Expr, Current]:
+def _checked_remainder(current: Current, *, samples: int, seed: int) -> tuple[Expr, Current]:
     """Multiplier and remainder of a reduced conserved current; the divergence
     identity is asserted exactly before returning."""
     parts, remainder = _integrate_by_parts(current, with_remainder=True)
@@ -302,7 +303,7 @@ def _checked_remainder(current: Current) -> tuple[Expr, Current]:
         - multiplier * equation_expression(current.frame)
         - divergence(remainder)
     )
-    if not is_zero(gap):
+    if not is_zero(gap, samples=samples, seed=seed):
         raise AssertionError(f"{current.frame} divergence identity failed to close")
     return multiplier, remainder
 
@@ -319,7 +320,7 @@ def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
 
 
 def characteristic_with_remainder(
-    current: CanonicalCurrent,
+    current: CanonicalCurrent, *, samples: int = 8, seed: int = 42
 ) -> tuple[Characteristic, Current]:
     """Characteristic plus the exact integration-by-parts remainder.
 
@@ -328,18 +329,20 @@ def characteristic_with_remainder(
     where F0 and G0 vanish on solutions (every term carries a mixed jet).
     The identity is asserted exactly before returning.
     """
-    multiplier, remainder = _checked_remainder(current)
+    multiplier, remainder = _checked_remainder(current, samples=samples, seed=seed)
     return Characteristic(LIGHTCONE, multiplier), remainder
 
 
-def is_trivial(current: Current, point: ReferenceJetPoint = ORIGIN) -> bool:
+def is_trivial(
+    current: Current, point: ReferenceJetPoint = ORIGIN, *, samples: int = 8, seed: int = 42
+) -> bool:
     """True iff the light-cone current is equivalent to the zero current."""
     canonical = (
         current
         if isinstance(current, CanonicalCurrent)
-        else normalize_current(current, point)
+        else normalize_current(current, point, samples=samples, seed=seed)
     )
-    return is_zero(characteristic_canonical(canonical).multiplier)
+    return is_zero(characteristic_canonical(canonical).multiplier, samples=samples, seed=seed)
 
 
 def _invert_restricted(target: Expr, axis: int) -> Expr:
@@ -392,7 +395,9 @@ def _invert_restricted(target: Expr, axis: int) -> Expr:
     raise AssertionError("witness inversion did not terminate")
 
 
-def trivial_witness(current: CanonicalCurrent) -> TrivialWitness:
+def trivial_witness(
+    current: CanonicalCurrent, *, samples: int = 8, seed: int = 42
+) -> TrivialWitness:
     """Constructive certificate for a trivial canonical current.
 
     Splits off the constant multiple of (w[0,1], -w[1,0]) and inverts the
@@ -400,7 +405,7 @@ def trivial_witness(current: CanonicalCurrent) -> TrivialWitness:
     are re-checked exactly before returning.
     """
     parts, _ = _integrate_by_parts(current)
-    if not is_zero(parts[0] + parts[1]):
+    if not is_zero(parts[0] + parts[1], samples=samples, seed=seed):
         raise ValueError("current is not trivial: nonzero characteristic")
     constant = parts[0].as_rational()
     if constant is None:  # trivial, but its constant is not a rational literal
@@ -415,7 +420,7 @@ def trivial_witness(current: CanonicalCurrent) -> TrivialWitness:
 
     f_gap = current.first - restricted_derivative(f_part, LIGHTCONE, 1) - constant * w01
     g_gap = current.second - restricted_derivative(g_part, LIGHTCONE, 0) + constant * w10
-    if not (is_zero(f_gap) and is_zero(g_gap)):
+    if not all(is_zero(gap, samples=samples, seed=seed) for gap in (f_gap, g_gap)):
         raise AssertionError("witness identities failed to close")
     return TrivialWitness(f_part, g_part, constant)
 
@@ -434,7 +439,9 @@ def is_characteristic(
     return is_zero(residue, samples=samples, seed=seed)
 
 
-def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
+def spacetime_remainder(
+    current: Current, *, samples: int = 8, seed: int = 42
+) -> tuple[Expr, Expr]:
     """Exact divergence identity data for a reduced space-time current.
 
     For conserved reduced (T, X) returns (mu, X0) with the full-jet-space
@@ -444,9 +451,11 @@ def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
     if current.frame is not SPACETIME:
         raise ValueError("spacetime_remainder expects a space-time current")
     reduced = current.reduced()
-    if not is_zero(_restricted_divergence(SPACETIME, reduced.first, reduced.second)):
+    if not is_zero(
+        _restricted_divergence(SPACETIME, reduced.first, reduced.second), samples=samples, seed=seed
+    ):
         raise NotConservedError("divergence does not vanish on solutions")
-    mu, remainder = _checked_remainder(reduced)
+    mu, remainder = _checked_remainder(reduced, samples=samples, seed=seed)
     return mu, remainder.second
 
 
@@ -464,8 +473,22 @@ def current_to_json(current: Current) -> str:
     return json.dumps(doc)
 
 
-def current_from_json(text: str) -> Current:
+def _document(text: str, *fields: str) -> dict:
+    """The JSON object in text; each named field must hold a string.
+
+    A missing field raises KeyError, any other wrong shape ValueError.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, found {type(doc).__name__}")
+    for name in fields:
+        if not isinstance(doc[name], str):
+            raise ValueError(f"field {name!r} must be a string, not {type(doc[name]).__name__}")
+    return doc
+
+
+def current_from_json(text: str) -> Current:
+    doc = _document(text, "frame", "first", "second")
     frame = Frame.from_name(doc["frame"])
     return Current(frame, parse(doc["first"]), parse(doc["second"]))
 
@@ -480,7 +503,7 @@ def characteristic_to_json(characteristic: Characteristic) -> str:
 
 
 def characteristic_from_json(text: str) -> Characteristic:
-    doc = json.loads(text)
+    doc = _document(text, "frame", "multiplier")
     frame = Frame.from_name(doc["frame"])
     return Characteristic(frame, parse(doc["multiplier"]))
 

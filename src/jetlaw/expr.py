@@ -6,8 +6,18 @@ integer exponents.  Atoms are independent symbols (``xi``, ``eta``, ``t``,
 ``x``), jet coordinates ``name[i,j]`` standing for the mixed partial
 derivative of order ``(i, j)`` of a dependent variable, and the
 transcendental heads ``exp``/``sin``/``cos``/``ln`` applied to expressions.
-All coefficient arithmetic uses :class:`fractions.Fraction`, so equality of
-canonical forms is exact, never floating point.
+Coefficients are exact rationals, so equality of canonical forms is exact,
+never floating point.
+
+An Expr stores its coefficients as integer numerators over one common
+positive denominator, as FLINT's ``fmpq_poly`` does, reduced so that the
+denominator and the numerators have no common factor.  The kernel computes
+on ints only: a product multiplies numerators and denominators, and a sum
+or a derivative that meets several denominators collects the numerators
+over each in its own dict and scales each dict once, by the lcm over its
+denominator.  :class:`fractions.Fraction` appears only at the boundary:
+``from_rational``, ``as_rational``, ``leading_coefficient``, printing, the
+public ``terms`` and the high-precision zero test.
 
 Canonical form is maintained by construction: arithmetic merges monomials,
 drops zero coefficients, fuses products of exponentials (``exp(a)*exp(b)``
@@ -263,7 +273,7 @@ def _mono_mul_fused(m1: Mono, m2: Mono) -> Mono:
 
 
 def _mul_into(coeffs: dict, left, right) -> dict:
-    """Add every product of a left and a right (monomial, coefficient) pair
+    """Add every product of a left and a right (monomial, numerator) pair
     into coeffs."""
     for m1, c1 in left:
         for m2, c2 in right:
@@ -274,39 +284,101 @@ def _mul_into(coeffs: dict, left, right) -> dict:
     return coeffs
 
 
+def _group(groups: dict, den: int) -> dict:
+    """The coefficient dict collecting numerators over den, made on first use."""
+    coeffs = groups.get(den)
+    if coeffs is None:
+        coeffs = groups[den] = {}
+    return coeffs
+
+
+def _build_grouped(groups: dict, den: int = 1) -> "Expr":
+    """The Expr sum over d of groups[d] / (den * d), where each groups[d]
+    maps monomials to integer numerators.
+
+    Each group is scaled once, by lcm // d, into one dict over the lcm.
+    """
+    if not groups:
+        return _ZERO
+    if len(groups) == 1:
+        ((d, coeffs),) = groups.items()
+        return Expr._build(coeffs, den * d)
+    common = math.lcm(*groups)
+    out: dict = {}
+    for d, coeffs in groups.items():
+        scale = common // d
+        for m, c in coeffs.items():
+            c *= scale
+            acc = out.get(m)
+            out[m] = c if acc is None else acc + c
+    return Expr._build(out, den * common)
+
+
 class Expr:
-    """Canonical sum of monomials with Fraction coefficients. Immutable."""
+    """Canonical sum of monomials with rational coefficients. Immutable.
 
-    # _hash and _atoms are filled on the first hash() and base_atoms() call
-    __slots__ = ("_terms", "_hash", "_atoms")
+    ``_terms`` holds (monomial, integer numerator) pairs, sorted, with no
+    zero numerator; every coefficient is its numerator over the one
+    positive ``_den``.  The pair is reduced, ``gcd(_den, *numerators) ==
+    1``, and zero is ``Expr(())`` with ``_den == 1``, so each value has one
+    representation and ``==`` and ``hash`` compare ``(_terms, _den)``.
+    """
 
-    def __init__(self, terms: tuple):
-        # internal: terms must already be canonical (sorted, nonzero coeffs)
+    # _hash, _atoms and _fraction_terms are filled on the first hash(),
+    # base_atoms() and terms call
+    __slots__ = ("_terms", "_den", "_hash", "_atoms", "_fraction_terms")
+
+    def __init__(self, terms: tuple, den: int = 1):
+        # internal: terms must already be canonical (sorted, nonzero
+        # numerators, reduced against den)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
-        return Expr, (self._terms,)
+        return Expr, (self._terms, self._den)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def _build(coeffs: dict) -> "Expr":
+    def _build(coeffs: dict, den: int = 1) -> "Expr":
+        """The Expr sum of numerator / den over a monomial -> numerator dict."""
         items = [(m, c) for m, c in coeffs.items() if c]
+        if not items:
+            return _ZERO
+        if den != 1:
+            g = den
+            for _, c in items:
+                g = math.gcd(g, c)
+                if g == 1:
+                    break
+            else:
+                items = [(m, c // g) for m, c in items]
+                den //= g
         items.sort(key=lambda mc: _mono_key(mc[0]), reverse=True)
-        return Expr(tuple(items))
+        return Expr(tuple(items), den)
+
+    @staticmethod
+    def _monomial(mono: Mono, num: int, den: int) -> "Expr":
+        """The one-term Expr num / den * mono, for num != 0 and den > 0."""
+        g = math.gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+        return Expr(((mono, num),), den)
 
     @staticmethod
     def _sum(parts) -> "Expr":
         """The sum of an iterable of Exprs, in one dict and one sort."""
-        coeffs: dict = {}
+        groups: dict = {}  # denominator -> the numerators of parts over it
         for part in parts:
+            coeffs = _group(groups, part._den)
             for m, c in part._terms:
                 acc = coeffs.get(m)
                 coeffs[m] = c if acc is None else acc + c
-        return Expr._build(coeffs)
+        return _build_grouped(groups)
 
     @staticmethod
     def zero() -> "Expr":
@@ -318,20 +390,29 @@ class Expr:
 
     @staticmethod
     def from_rational(q: Rational) -> "Expr":
-        q = Fraction(q)
+        if not isinstance(q, int):
+            q = Fraction(q)
         if q == 0:
             return _ZERO
-        return Expr((((), q),))
+        return Expr((((), q.numerator),), q.denominator)
 
     @staticmethod
     def from_atom(a: Atom) -> "Expr":
-        return Expr(((((a, 1),), Fraction(1)),))
+        return Expr(((((a, 1),), 1),))
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        """The (monomial, Fraction coefficient) pairs, in canonical order."""
+        try:
+            return self._fraction_terms
+        except AttributeError:
+            pass
+        den = self._den
+        value = tuple([(m, Fraction(c, den)) for m, c in self._terms])
+        object.__setattr__(self, "_fraction_terms", value)
+        return value
 
     @property
     def is_zero_literal(self) -> bool:
@@ -342,13 +423,13 @@ class Expr:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and self._terms[0][0] == ():
-            return self._terms[0][1]
+            return Fraction(self._terms[0][1], self._den)
         return None
 
     def leading_coefficient(self) -> Fraction:
         if not self._terms:
             return Fraction(0)
-        return self._terms[0][1]
+        return Fraction(self._terms[0][1], self._den)
 
     def base_atoms(self) -> frozenset:
         """All Sym and Jet atoms, including those inside function arguments."""
@@ -395,7 +476,7 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        return Expr(tuple((m, -c) for m, c in self._terms))
+        return Expr(tuple([(m, -c) for m, c in self._terms]), self._den)
 
     def __sub__(self, other) -> "Expr":
         return self + (-as_expr(other))
@@ -408,8 +489,8 @@ class Expr:
         if len(self._terms) == 1 == len(other._terms):
             # one monomial times one: nothing to collect or sort
             (m1, c1), (m2, c2) = self._terms[0], other._terms[0]
-            return Expr(((_mono_mul(m1, m2), c1 * c2),))
-        return Expr._build(_mul_into({}, self._terms, other._terms))
+            return Expr._monomial(_mono_mul(m1, m2), c1 * c2, self._den * other._den)
+        return Expr._build(_mul_into({}, self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -450,7 +531,7 @@ class Expr:
                 raise UnsupportedExpressionError(
                     f"negative power of non-invertible factor {a}"
                 )
-        inv = Expr.from_rational(Fraction(1) / c)
+        inv = Expr.from_rational(Fraction(self._den, c))
         for a, p in mono:
             inv = inv * Expr.from_atom(Fn("exp", -(a.arg * Expr.from_rational(p))))
         return inv
@@ -462,14 +543,14 @@ class Expr:
             other = Expr.from_rational(other)
         if not isinstance(other, Expr):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             pass
-        value = hash(self._terms)
+        value = hash((self._terms, self._den))
         object.__setattr__(self, "_hash", value)
         return value
 
@@ -479,11 +560,12 @@ class Expr:
         if not self._terms:
             return "0"
         chunks = []
+        den = self._den
         for idx, (mono, c) in enumerate(self._terms):
             body = "*".join(
                 str(a) + (f"^{p}" if p > 1 else "") for a, p in mono
             )
-            mag = abs(c)
+            mag = Fraction(abs(c), den)
             if body:
                 text = body if mag == 1 else f"{mag}*{body}"
             else:
@@ -499,7 +581,7 @@ class Expr:
 
 
 _ZERO = Expr(())
-_ONE = Expr((((), Fraction(1)),))
+_ONE = Expr((((), 1),))
 
 
 def as_expr(value) -> Expr:
@@ -532,7 +614,7 @@ def fn_apply(head: str, arg) -> Expr:
     if head in ("sin", "cos"):
         if arg.is_zero_literal:
             return _ZERO if head == "sin" else _ONE
-        if arg.leading_coefficient() < 0:
+        if arg._terms[0][1] < 0:  # the sign of the leading coefficient
             flipped = Expr.from_atom(Fn(head, -arg))
             return -flipped if head == "sin" else flipped
         return Expr.from_atom(Fn(head, arg))
@@ -566,8 +648,8 @@ def _derive(e: Expr, base_derivative, memo: dict | None = None) -> Expr:
     """
     if memo is None:
         memo = {}
-    coeffs: dict = {}
-    for mono, c in e.terms:
+    groups: dict = {}  # denominator of the atom derivative -> numerators over it
+    for mono, c in e._terms:
         for idx, (a, p) in enumerate(mono):
             da = memo.get(a)
             if da is None:
@@ -576,14 +658,14 @@ def _derive(e: Expr, base_derivative, memo: dict | None = None) -> Expr:
                 else:
                     da = base_derivative(a)
                 memo[a] = da
-            if not da.terms:
+            if not da._terms:
                 continue
             if p > 1:
                 rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
             else:
                 rest = mono[:idx] + mono[idx + 1 :]
-            _mul_into(coeffs, ((rest, c * p),), da.terms)
-    return Expr._build(coeffs)
+            _mul_into(_group(groups, da._den), ((rest, c * p),), da._terms)
+    return _build_grouped(groups, e._den)
 
 
 def _chain_rule(a: Fn, darg: Expr) -> Expr:
@@ -616,10 +698,11 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
             raise TypeError("substitution keys must be symbol or jet atoms")
         table[key] = as_expr(val)
     images: dict = {}  # (atom, power) -> image ** power, filled per call
-    coeffs: dict = {}
-    for mono, c in e.terms:
+    groups: dict = {}  # product of the image denominators -> numerators over it
+    for mono, c in e._terms:
         kept = []
         factors = []
+        den = 1
         for a, p in mono:
             if not (isinstance(a, Fn) or a in table):
                 kept.append((a, p))
@@ -629,16 +712,18 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
                 base = fn_apply(a.head, substitute(a.arg, table)) if isinstance(a, Fn) else table[a]
                 image = images[a, p] = base**p
             factors.append(image._terms)
+            den *= image._den
+        coeffs = _group(groups, den)
         if not factors:
             acc = coeffs.get(mono)
             coeffs[mono] = c if acc is None else acc + c
             continue
-        # the term's product of images, expanded in raw coefficient dicts
+        # the term's product of images, expanded in raw numerator dicts
         product = ((tuple(kept), c),)  # kept is a sub-tuple of a canonical monomial
         for image in factors[:-1]:
             product = _mul_into({}, product, image).items()
         _mul_into(coeffs, product, factors[-1])
-    return Expr._build(coeffs)
+    return _build_grouped(groups, e._den)
 
 
 def integrate_univar(e: Expr, v, lower=0) -> Expr:
@@ -655,7 +740,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
     lower = as_expr(lower)
     v_expr = Expr.from_atom(v)
     parts = []
-    for mono, c in e.terms:
+    for mono, c in e._terms:
         k = 0
         trans = None
         rest = []
@@ -674,7 +759,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
                 trans = a
             else:
                 rest.append((a, p))
-        rest_expr = Expr(((tuple(rest), c),))
+        rest_expr = Expr._monomial(tuple(rest), c, e._den)
         if trans is None:
             part = rest_expr * v_expr ** (k + 1) / (k + 1)
         else:
@@ -791,8 +876,8 @@ def _eval_mp(e: Expr, env: Mapping):
     mpmath, funcs = _mp()
     total = mpmath.mpf(0)
     scale = mpmath.mpf(0)
-    for mono, c in e.terms:
-        term = _mp_number(c)
+    for mono, c in e._terms:
+        term = _mp_number(Fraction(c, e._den))
         for a, p in mono:
             if isinstance(a, Fn):
                 inner, _ = _eval_mp(a.arg, env)
@@ -810,8 +895,9 @@ _FLOAT_FUNCS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "ln": math.lo
 def evaluate_float(e: Expr, env: Mapping) -> float:
     """Double-precision evaluation; env maps every Sym/Jet atom to a float."""
     total = 0.0
-    for mono, c in e.terms:
-        term = float(c)
+    den = e._den
+    for mono, c in e._terms:
+        term = c / den  # int true division rounds correctly, as float(Fraction) does
         for a, p in mono:
             if isinstance(a, Fn):
                 term *= _FLOAT_FUNCS[a.head](evaluate_float(a.arg, env)) ** p

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from jetlaw import conservation
 from jetlaw.cli import _VALUE_OPTIONS, build_parser, main
 
 
@@ -176,6 +177,34 @@ def test_pullback_json_round_trip(capsys, tmp_path):
     assert lines[2] == "second: 0"
 
 
+def _stdin_doc(capsys, monkeypatch, command, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, command, "--doc", "-")
+
+
+def test_doc_that_is_not_an_object_exits_2(capsys, monkeypatch):
+    code, out, err = _stdin_doc(capsys, monkeypatch, "verify", "[]")
+    assert (code, out) == (2, "")
+    assert err == "error: bad current document: expected a JSON object, found list\n"
+
+
+def test_doc_with_a_non_string_component_exits_2(capsys, monkeypatch):
+    doc = json.dumps({"frame": "lightcone", "first": 3, "second": "0"})
+    code, out, err = _stdin_doc(capsys, monkeypatch, "verify", doc)
+    assert (code, out) == (2, "")
+    assert err == "error: bad current document: field 'first' must be a string, not int\n"
+    doc = json.dumps({"frame": ["lightcone"], "multiplier": "t"})
+    code, out, err = _stdin_doc(capsys, monkeypatch, "is-characteristic", doc)
+    assert (code, out) == (2, "")
+    assert err == "error: bad characteristic document: field 'frame' must be a string, not list\n"
+
+
+def test_deeply_nested_expression_exits_2(capsys):
+    code, out, err = run(capsys, "parse", "--expr", "(" * 3000 + "t" + ")" * 3000)
+    assert (code, out) == (2, "")
+    assert err == "error: input is nested too deeply\n"
+
+
 # --- triviality ----------------------------------------------------------------------
 
 def test_is_trivial_exit_codes(capsys):
@@ -324,6 +353,24 @@ def test_flag_beats_env_beats_file(capsys, tmp_path, monkeypatch):
     # flag overrides env
     code, out, _ = run(capsys, "parse", "--config", str(config), "--format", "json", "--expr", "t")
     assert code == 0 and json.loads(out)["text"] == "t"
+
+
+@pytest.mark.parametrize("command", ["normalize", "characteristic", "is-trivial", "witness"])
+def test_zero_tests_use_the_configured_samples_and_seed(capsys, monkeypatch, command):
+    calls = []
+    is_zero = conservation.is_zero
+
+    def spy(e, **options):
+        calls.append(options)
+        return is_zero(e, **options)
+
+    monkeypatch.setattr(conservation, "is_zero", spy)
+    code, _, err = run(
+        capsys, command, "--samples", "3", "--seed", "7",
+        "--first", "2*w[0,1]*w[0,2] + 3*w[0,1]", "--second", "-3*w[1,0]",
+    )
+    assert (code, err) == (0, "")
+    assert calls and all(options == {"samples": 3, "seed": 7} for options in calls), calls
 
 
 def test_bad_config_file_exits_2(capsys, tmp_path):

@@ -7,10 +7,14 @@ expressions with exp/sin/cos of jets, and for linear work: the number of
 monomials handed to ``Expr._build`` stays within a fixed multiple of the
 terms in plus the terms out.  Atoms are interned, and the merge-based
 monomial product is checked against a dict-and-sort reference.
+Coefficients are integer numerators over one denominator per Expr: the
+arithmetic is checked against an all-Fraction reference, the layout
+against its invariant, and the calculus for calls into ``fractions``.
 """
 
 import copy
 import gc
+import math
 import os
 import pickle
 import random
@@ -33,6 +37,7 @@ from jetlaw.expr import (
     _mono_mul,
     as_expr,
     diff_partial,
+    evaluate_float,
     fn_apply,
     integrate_univar,
     parse,
@@ -216,11 +221,45 @@ def test_monomials_built_grow_linearly(monkeypatch, name):
         e = S**n
         built = []
         monkeypatch.setattr(
-            Expr, "_build", staticmethod(lambda coeffs: built.append(len(coeffs)) or build(coeffs))
+            Expr, "_build", staticmethod(lambda coeffs, *den: built.append(len(coeffs)) or build(coeffs, *den))
         )
         out = OPERATIONS[name](e)
         monkeypatch.setattr(Expr, "_build", staticmethod(build))
         assert sum(built) <= WORK_PER_TERM * (len(e.terms) + len(out.terms)), (n, sum(built))
+
+
+# --- calls into fractions.py: boundary conversions only -----------------------
+
+FRACTION_CALLS = {
+    "mul": lambda e: e * S,
+    **{name: OPERATIONS[name] for name in
+       ("diff_partial", "total_derivative", "substitute", "substitute_to_spacetime")},
+}
+
+
+def _fraction_calls(run) -> int:
+    """Python-level calls into fractions.py while run() runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.endswith("fractions.py"):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("name", FRACTION_CALLS)
+def test_calculus_makes_no_fraction_calls_per_term(name):
+    # S has the coefficient 5/2, so every power of it has a denominator
+    op = FRACTION_CALLS[name]
+    op(S**2)  # fills the frame change's image caches
+    counts = [_fraction_calls(lambda: op(S**n)) for n in (4, 8)]
+    assert counts[0] == counts[1] <= 4, counts
 
 
 # --- interned atoms -----------------------------------------------------------
@@ -378,3 +417,225 @@ def test_mpmath_is_imported_only_when_a_zero_test_samples():
         "assert zero_verdict(parse('sin(w[0,1])^2 + cos(w[0,1])^2 - 1')).probabilistic"
     )
     assert _modules_after(sampled) == "True"
+
+
+# --- integer numerators over one denominator ----------------------------------
+
+PRIMES = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+REDUCED_ATOMS = [Sym("xi"), Sym("eta"), Jet("w", 0, 0), Jet("w", 1, 0),
+                 Jet("w", 0, 1), Jet("w", 0, 2), Jet("w", 2, 0)]
+coefficients = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from(PRIMES)),
+)
+
+
+def _mono(atoms) -> tuple:
+    powers = {}
+    for a in atoms:
+        powers[a] = powers.get(a, 0) + 1
+    return tuple(sorted(powers.items(), key=lambda ap: ap[0].sort_key))
+
+
+@st.composite
+def polynomials(draw, atoms=REDUCED_ATOMS, exp_factor=False, max_terms=4):
+    """(Expr, reference) for one random sum of terms with int and Fraction
+    coefficients; the reference maps monomials to Fractions.  With
+    exp_factor, some terms carry exp of a linear form with prime denominators."""
+    e, ref = Expr.zero(), {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        c = draw(coefficients)
+        factors = draw(st.lists(st.sampled_from(atoms), max_size=3))
+        if exp_factor and draw(st.booleans()):
+            arg = draw(coefficients) * as_expr(draw(st.sampled_from(JETS)))
+            arg = arg + draw(coefficients) * as_expr(draw(st.sampled_from(LIGHTCONE_ATOMS[:2])))
+            factors.append(Fn("exp", arg))
+        term = as_expr(c)
+        for a in factors:
+            term = term * as_expr(a)
+        e = e + term
+        m = _mono(factors)
+        ref[m] = ref.get(m, 0) + Fraction(c)
+    return e, ref
+
+
+def _ref_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return out
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + Fraction(c1) * Fraction(c2)
+    return out
+
+
+def _ref_pow(a: dict, n: int) -> dict:
+    out = {(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _without(mono: tuple, idx: int) -> tuple:
+    """mono with one power of its idx-th atom taken away."""
+    a, p = mono[idx]
+    return (*mono[:idx], *(((a, p - 1),) if p > 1 else ()), *mono[idx + 1:])
+
+
+def _ref_derive(a: dict, base) -> dict:
+    """The derivation sending each Sym/Jet atom to base(atom); exp atoms
+    follow the chain rule."""
+    out = {}
+    for m, c in a.items():
+        for idx, (atom, p) in enumerate(m):
+            if isinstance(atom, Fn):
+                da = _ref_mul({((atom, 1),): 1}, _ref_derive(dict(atom.arg.terms), base))
+            else:
+                da = base(atom)
+            out = _ref_add(out, _ref_mul({_without(m, idx): c * p}, da))
+    return out
+
+
+def _ref_substitute(a: dict, images: dict) -> dict:
+    out = {}
+    for m, c in a.items():
+        product = {(): Fraction(c)}
+        for atom, p in m:
+            image = images.get(atom, {((atom, 1),): 1})
+            product = _ref_mul(product, _ref_pow(image, p))
+        out = _ref_add(out, product)
+    return out
+
+
+def _ref_integrate(a: dict, v, lower: Fraction) -> dict:
+    out = {}
+    for m, c in a.items():
+        k = dict(m).get(v, 0)
+        rest = tuple((b, p) for b, p in m if b is not v)
+        out = _ref_add(out, {_mono_mul(rest, ((v, k + 1),)): c / (k + 1)})
+        out = _ref_add(out, {rest: c * lower ** (k + 1) / (k + 1)}, sign=-1)
+    return out
+
+
+def _atom_ref(a) -> dict:
+    return {((a, 1),): 1}
+
+
+def _spacetime_ref(a) -> dict:
+    """The frame change's image of a reduced light-cone atom, by hand."""
+    x, t = _atom_ref(Sym("x")), _atom_ref(Sym("t"))
+    if a == Sym("xi"):
+        return _ref_add(x, t)
+    if a == Sym("eta"):
+        return _ref_add(x, t, sign=-1)
+    n = a.i + a.j
+    if n == 0:
+        return _atom_ref(Jet("u", 0, 0))
+    plus, minus = _atom_ref(Jet("u", 0, n)), _atom_ref(Jet("u", 1, n - 1))
+    half = {(): Fraction(1, 2)}
+    return _ref_mul(half, _ref_add(plus, minus, sign=1 if a.i else -1))
+
+
+def _assert_canonical(e: Expr, ref: dict | None = None):
+    """e is reduced, integral coefficients mean _den == 1, it reprints to
+    itself, and it equals the reference."""
+    numerators = [c for _, c in e._terms]
+    assert all(type(c) is int and c for c in numerators)
+    assert type(e._den) is int and e._den >= 1
+    assert math.gcd(e._den, *numerators) == 1
+    if all(c.denominator == 1 for _, c in e.terms):  # zero included
+        assert e._den == 1
+    assert parse(str(e)) == e
+    if ref is not None:
+        assert dict(e.terms) == {m: c for m, c in ref.items() if c}
+
+
+@given(polynomials(exp_factor=True), polynomials(exp_factor=True), st.integers(0, 3),
+       polynomials(max_terms=1), polynomials(max_terms=1))
+@settings(max_examples=150, deadline=None)
+def test_ring_operations_match_an_all_fraction_reference(a, b, n, one, other):
+    (ea, ra), (eb, rb) = a, b
+    _assert_canonical(ea, ra)
+    _assert_canonical(ea + eb, _ref_add(ra, rb))
+    _assert_canonical(ea - ea)
+    _assert_canonical(ea * eb, _ref_mul(ra, rb))
+    _assert_canonical(ea**n, _ref_pow(ra, n))
+    (e1, r1), (e2, r2) = one, other  # one term times one term
+    _assert_canonical(e1 * e2, _ref_mul(r1, r2))
+
+
+def test_one_term_product_cancels_its_denominator():
+    e = as_expr(6) * as_expr(Sym("xi")) * (Fraction(1, 3) * as_expr(Jet("w", 0, 1)))
+    assert (e._terms, e._den) == (((((Sym("xi"), 1), (Jet("w", 0, 1), 1)), 2),), 1)
+
+
+@given(polynomials(atoms=LIGHTCONE_ATOMS, exp_factor=True), st.sampled_from([0, 1]))
+@settings(max_examples=150, deadline=None)
+def test_derivatives_match_an_all_fraction_reference(a, axis):
+    e, ref = a
+    v = Jet("w", 0, 1)
+    _assert_canonical(diff_partial(e, v), _ref_derive(ref, lambda b: {(): 1} if b == v else {}))
+    sym = LIGHTCONE.symbol(axis)
+
+    def base(b):
+        if isinstance(b, Jet):
+            return _atom_ref(b.shifted(axis))
+        return {(): 1} if b == sym else {}
+
+    _assert_canonical(total_derivative(e, LIGHTCONE, axis), _ref_derive(ref, base))
+
+
+@given(polynomials(), st.lists(st.tuples(st.sampled_from(REDUCED_ATOMS), polynomials()), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_substitution_matches_an_all_fraction_reference(a, bindings):
+    e, ref = a
+    bindings = dict(bindings)
+    images = {key: image for key, (image, _) in bindings.items()}
+    refs = {key: image_ref for key, (_, image_ref) in bindings.items()}
+    _assert_canonical(substitute(e, images), _ref_substitute(ref, refs))
+    _assert_canonical(substitute_to_spacetime(e),
+                      _ref_substitute(ref, {b: _spacetime_ref(b) for b in REDUCED_ATOMS}))
+
+
+@given(polynomials(), st.builds(Fraction, st.integers(-9, 9), st.sampled_from(PRIMES)))
+@settings(max_examples=150, deadline=None)
+def test_integration_matches_an_all_fraction_reference(a, lower):
+    e, ref = a
+    v = Jet("w", 0, 1)
+    _assert_canonical(integrate_univar(e, v, lower=lower), _ref_integrate(ref, v, lower))
+
+
+@given(polynomials(exp_factor=True))
+@settings(max_examples=60, deadline=None)
+def test_pickle_and_copies_keep_the_denominator(a):
+    e, _ = a
+    for again in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert again == e and hash(again) == hash(e)
+        assert (again._terms, again._den) == (e._terms, e._den)
+
+
+EVALUATED_ATOMS = REDUCED_ATOMS + [Jet("w", 2, 1)]  # every atom polynomials() draws
+
+
+@given(polynomials(exp_factor=True),
+       st.lists(st.floats(-3, 3), min_size=len(EVALUATED_ATOMS), max_size=len(EVALUATED_ATOMS)))
+@settings(max_examples=100, deadline=None)
+def test_float_evaluation_is_the_per_term_sum_of_fraction_floats(a, values):
+    e, _ = a
+    env = dict(zip(EVALUATED_ATOMS, values))
+    expected = 0.0
+    for mono, c in e.terms:
+        term = float(c)
+        for atom, p in mono:
+            if isinstance(atom, Fn):
+                term *= math.exp(evaluate_float(atom.arg, env)) ** p
+            else:
+                term *= float(env[atom]) ** p
+        expected += term
+    assert evaluate_float(e, env).hex() == expected.hex()
