@@ -293,7 +293,7 @@ def _integrate_by_parts(
     return (parts[0], parts[1]), rest
 
 
-def _checked_remainder(current: Current, *, samples: int, seed: int) -> tuple[Expr, Current]:
+def _checked_remainder(current: Current) -> tuple[Expr, Current]:
     """Multiplier and remainder of a reduced conserved current; the divergence
     identity is asserted exactly before returning."""
     parts, remainder = _integrate_by_parts(current, with_remainder=True)
@@ -303,7 +303,7 @@ def _checked_remainder(current: Current, *, samples: int, seed: int) -> tuple[Ex
         - multiplier * equation_expression(current.frame)
         - divergence(remainder)
     )
-    if not is_zero(gap, samples=samples, seed=seed):
+    if not is_zero(gap):
         raise AssertionError(f"{current.frame} divergence identity failed to close")
     return multiplier, remainder
 
@@ -320,7 +320,7 @@ def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
 
 
 def characteristic_with_remainder(
-    current: CanonicalCurrent, *, samples: int = 8, seed: int = 42
+    current: CanonicalCurrent,
 ) -> tuple[Characteristic, Current]:
     """Characteristic plus the exact integration-by-parts remainder.
 
@@ -329,7 +329,7 @@ def characteristic_with_remainder(
     where F0 and G0 vanish on solutions (every term carries a mixed jet).
     The identity is asserted exactly before returning.
     """
-    multiplier, remainder = _checked_remainder(current, samples=samples, seed=seed)
+    multiplier, remainder = _checked_remainder(current)
     return Characteristic(LIGHTCONE, multiplier), remainder
 
 
@@ -439,9 +439,7 @@ def is_characteristic(
     return is_zero(residue, samples=samples, seed=seed)
 
 
-def spacetime_remainder(
-    current: Current, *, samples: int = 8, seed: int = 42
-) -> tuple[Expr, Expr]:
+def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
     """Exact divergence identity data for a reduced space-time current.
 
     For conserved reduced (T, X) returns (mu, X0) with the full-jet-space
@@ -451,11 +449,9 @@ def spacetime_remainder(
     if current.frame is not SPACETIME:
         raise ValueError("spacetime_remainder expects a space-time current")
     reduced = current.reduced()
-    if not is_zero(
-        _restricted_divergence(SPACETIME, reduced.first, reduced.second), samples=samples, seed=seed
-    ):
+    if not is_zero(_restricted_divergence(SPACETIME, reduced.first, reduced.second)):
         raise NotConservedError("divergence does not vanish on solutions")
-    mu, remainder = _checked_remainder(reduced, samples=samples, seed=seed)
+    mu, remainder = _checked_remainder(reduced)
     return mu, remainder.second
 
 

@@ -298,6 +298,8 @@ def _build_grouped(groups: dict, den: int = 1) -> "Expr":
 
     Each group is scaled once, by lcm // d, into one dict over the lcm.
     """
+    if len(groups) > 1:  # a group no term landed in adds nothing to the lcm
+        groups = {d: coeffs for d, coeffs in groups.items() if coeffs}
     if not groups:
         return _ZERO
     if len(groups) == 1:

@@ -202,7 +202,7 @@ def test_doc_with_a_non_string_component_exits_2(capsys, monkeypatch):
 def test_deeply_nested_expression_exits_2(capsys):
     code, out, err = run(capsys, "parse", "--expr", "(" * 3000 + "t" + ")" * 3000)
     assert (code, out) == (2, "")
-    assert err == "error: input is nested too deeply\n"
+    assert err == "error: input too deep or too large to process\n"
 
 
 # --- triviality ----------------------------------------------------------------------
