@@ -2,10 +2,10 @@
 
 Expressions are polynomials with rational coefficients in frame symbols,
 jet coordinates and transcendental factors, canonicalized on construction.
-The light-cone frame (xi, eta) with dependent variable w carries the
-structure theory: canonical currents, characteristics, triviality; the
-space-time frame (t, x, u) is reached through exact transforms.  A
-floating-point oracle cross-checks conservation on closed-form solutions.
+Characteristics and triviality are answered in either frame, light-cone
+(xi, eta; w) or space-time (t, x; u); canonical currents and triviality
+witnesses live in the light-cone frame, and exact transforms link the two.
+A floating-point oracle cross-checks conservation on closed-form solutions.
 """
 
 from .expr import (
@@ -47,6 +47,7 @@ from .conservation import (
     NotConservedError,
     ReferenceJetPoint,
     TrivialWitness,
+    characteristic,
     characteristic_canonical,
     characteristic_with_remainder,
     current_from_json,

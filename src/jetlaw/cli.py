@@ -19,7 +19,7 @@ from .conservation import (
     Characteristic,
     Current,
     NotConservedError,
-    characteristic_canonical,
+    characteristic,
     current_from_json,
     current_to_json,
     characteristic_from_json,
@@ -31,11 +31,7 @@ from .conservation import (
     verify_current,
     witness_to_json,
 )
-from .transform import (
-    characteristic_to_spacetime,
-    current_to_lightcone,
-    current_to_spacetime,
-)
+from .transform import current_to_lightcone, current_to_spacetime
 from .oracle import Rectangle, SolutionFormatError, check_conservation, parse_solution
 from .config import Config, resolve
 from .golden import GOLDEN_CASES
@@ -191,13 +187,7 @@ def _cmd_normalize(args, config: Config) -> int:
 
 
 def _cmd_characteristic(args, config: Config) -> int:
-    source = _load_current(args)
-    canonical = normalize_current(
-        _as_lightcone(source), config.reference_point, samples=config.samples, seed=config.seed
-    )
-    lam = characteristic_canonical(canonical)
-    if source.frame is not LIGHTCONE:
-        lam = characteristic_to_spacetime(lam)
+    lam = characteristic(_load_current(args), samples=config.samples, seed=config.seed)
     trivial = is_zero(lam.multiplier, samples=config.samples, seed=config.seed)
     text = str(lam.multiplier) + (" (trivial)" if trivial else "")
     doc = json.loads(characteristic_to_json(lam))
@@ -207,8 +197,7 @@ def _cmd_characteristic(args, config: Config) -> int:
 
 
 def _cmd_is_trivial(args, config: Config) -> int:
-    current = _as_lightcone(_load_current(args))
-    verdict = is_trivial(current, config.reference_point, samples=config.samples, seed=config.seed)
+    verdict = is_trivial(_load_current(args), samples=config.samples, seed=config.seed)
     _emit(
         config,
         [f"trivial: {str(verdict).lower()}"],
@@ -346,14 +335,17 @@ _COMMANDS = {
 }
 
 
-# options whose value may start with a minus sign, e.g. --second "-w[1,0]";
-# argparse only accepts those in --option=value form, so fuse the pairs
+# a value may start with a minus sign, e.g. --second "-w[1,0]"; argparse
+# only accepts those in --option=value form, so fuse the pairs
+_PARSER = build_parser()
 _VALUE_OPTIONS = frozenset(
-    {
-        "--expr", "--first", "--second", "--multiplier", "--doc", "--solution",
-        "--rect", "--nodes", "--frame", "--config", "--format", "--seed",
-        "--samples", "--tolerance", "--ref-point",
-    }
+    option
+    for subparsers in _PARSER._actions
+    if isinstance(subparsers, argparse._SubParsersAction)
+    for sub in subparsers.choices.values()
+    for action in sub._actions
+    if action.nargs != 0
+    for option in action.option_strings
 )
 
 
@@ -373,8 +365,7 @@ def _fuse_dash_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_fuse_dash_values(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(_fuse_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from(args)
         return _COMMANDS[args.command](args, config)

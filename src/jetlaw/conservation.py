@@ -1,21 +1,20 @@
 """Conserved currents of the wave equation: verification, canonical form,
 characteristics, and triviality certificates.
 
-All structural algorithms work in the light-cone frame, where the equation
-is w[1,1] = 0 and a conserved current (F, G) satisfies
-D_xi F + D_eta G = 0 on solutions.  The canonical form of a current has F
-depending only on eta and the eta-derivatives w[0,l] (l >= 1), and G only
-on xi and the xi-derivatives w[k,0] (k >= 1).  In that shape the
-characteristic (the multiplier lambda with Div = lambda * w[1,1] modulo
-identically divergence-free currents) is read off by an explicit operator,
-and a current is trivial precisely when its characteristic vanishes.
+The characteristic of a conserved current is the multiplier lambda with
+Div = lambda * (equation LHS) modulo identically divergence-free currents.
+One routine, ``_integrate_by_parts``, reads it off in the current's own
+frame: it walks (-D)^n over each coefficient dC/dJ along the axis that is
+not the component's own, and collects the remainder current on the way.
+The wave equation is normal, so equivalent currents have characteristics
+that agree on solutions, and a current is trivial exactly when its
+characteristic vanishes there (Olver, *Applications of Lie Groups to
+Differential Equations*, 2nd ed., Thms 4.26-4.28).
 
-One routine, ``_integrate_by_parts``, integrates a divergence by parts down
-to a multiple of the equation, in either frame: it walks (-D)^n over each
-coefficient dC/dJ along the axis that is not the component's own, and
-collects the remainder current on the way.  ``characteristic_canonical``,
-``characteristic_with_remainder``, ``spacetime_remainder`` and
-``trivial_witness`` all take their multiplier from it.
+Only normalization and triviality witnesses need the light-cone frame,
+where the equation is w[1,1] = 0.  The canonical form of a current has F
+depending only on eta and the eta-derivatives w[0,l] (l >= 1), and G only
+on xi and the xi-derivatives w[k,0] (k >= 1).
 """
 
 from __future__ import annotations
@@ -172,10 +171,9 @@ def verify_current(current: Current, *, samples: int = 8, seed: int = 42) -> boo
     return is_zero(residue, samples=samples, seed=seed)
 
 
-def _restricted_divergence(frame: Frame, first: Expr, second: Expr) -> Expr:
-    return restricted_derivative(first, frame, 0) + restricted_derivative(
-        second, frame, 1
-    )
+def _require_conserved(current: Current, *, samples: int = 8, seed: int = 42) -> None:
+    if not verify_current(current, samples=samples, seed=seed):
+        raise NotConservedError("divergence does not vanish on solutions")
 
 
 def _xi_orders(e: Expr) -> list[int]:
@@ -199,10 +197,9 @@ def normalize_current(
     """
     if current.frame is not LIGHTCONE:
         raise ValueError("normalization operates on light-cone currents")
-    first = reduce_to_solutions(current.first, LIGHTCONE)
-    second = reduce_to_solutions(current.second, LIGHTCONE)
-    if not is_zero(_restricted_divergence(LIGHTCONE, first, second), samples=samples, seed=seed):
-        raise NotConservedError("divergence does not vanish on solutions")
+    _require_conserved(current, samples=samples, seed=seed)
+    reduced = current.reduced()
+    first, second = reduced.first, reduced.second
 
     # Stripping the w[q,0]-dependence via the substitution F|_{w[q,0]=p}
     # is exact only for q >= 1; adding the divergence-free pair keeps the
@@ -263,8 +260,11 @@ def _integrate_by_parts(
     c * D_b^n E = ((-D_b)^n c) * E + D_b(sum_m ((-D_b)^m c) * D_b^(n-1-m) E).
     Returns each component's multiplier part and, when with_remainder is
     set, the remainder current (None otherwise).
-    Inputs are canonical (light-cone) or reduced (space-time), so D_b never
-    makes a principal jet and the plain total derivative is the restricted one.
+    The steps (-D_b)^m c take the restricted derivative, so the multiplier
+    is the characteristic of any reduced current in either frame.  The
+    remainder is exact only where D_b never makes a principal jet, so that
+    the restricted derivative is the total one: canonical light-cone and
+    reduced space-time currents.  ``_checked_remainder`` asserts this.
     """
     frame = current.frame
     equation = equation_expression(frame)
@@ -279,7 +279,7 @@ def _integrate_by_parts(
                 continue
             steps = [diff_partial(component, a)]  # (-D_b)^m c for m = 0..n
             for _ in range((top.i, top.j)[other] - frame.leading[other]):
-                steps.append(-total_derivative(steps[-1], frame, other))
+                steps.append(-restricted_derivative(steps[-1], frame, other))
             part.append(steps[-1])
             if with_remainder:
                 shifted = equation  # D_b^(n-1-m) E, paired with steps[m]
@@ -308,15 +308,24 @@ def _checked_remainder(current: Current) -> tuple[Expr, Current]:
     return multiplier, remainder
 
 
-def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
-    """Characteristic of a canonical current.
+def characteristic(current: Current, *, samples: int = 8, seed: int = 42) -> Characteristic:
+    """Characteristic of a conserved current, in the current's own frame.
 
-    lambda = sum_l (-D_eta)^(l-1) dF/dw[0,l] + sum_k (-D_xi)^(k-1) dG/dw[k,0],
-    with restricted derivatives; each summand is the result of integrating
-    the divergence by parts down to a multiple of w[1,1].
+    Raises NotConservedError otherwise; samples and seed configure that
+    test, as in ``verify_current``.  The multiplier is reduced, so
+    equivalent currents get the same one.
     """
-    parts, _ = _integrate_by_parts(current)
-    return Characteristic(LIGHTCONE, parts[0] + parts[1])
+    if not isinstance(current, CanonicalCurrent):  # one-sided, so conserved
+        _require_conserved(current, samples=samples, seed=seed)
+    parts, _ = _integrate_by_parts(current.reduced())
+    return Characteristic(current.frame, parts[0] + parts[1])
+
+
+def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
+    """Characteristic of a canonical current:
+    lambda = sum_l (-D_eta)^(l-1) dF/dw[0,l] + sum_k (-D_xi)^(k-1) dG/dw[k,0],
+    with restricted derivatives."""
+    return characteristic(current)
 
 
 def characteristic_with_remainder(
@@ -333,16 +342,12 @@ def characteristic_with_remainder(
     return Characteristic(LIGHTCONE, multiplier), remainder
 
 
-def is_trivial(
-    current: Current, point: ReferenceJetPoint = ORIGIN, *, samples: int = 8, seed: int = 42
-) -> bool:
-    """True iff the light-cone current is equivalent to the zero current."""
-    canonical = (
-        current
-        if isinstance(current, CanonicalCurrent)
-        else normalize_current(current, point, samples=samples, seed=seed)
-    )
-    return is_zero(characteristic_canonical(canonical).multiplier, samples=samples, seed=seed)
+def is_trivial(current: Current, *, samples: int = 8, seed: int = 42) -> bool:
+    """True iff the conserved current, in either frame, is equivalent to the
+    zero current: iff its characteristic vanishes on solutions.  Raises
+    NotConservedError otherwise; samples and seed configure both zero tests."""
+    lam = characteristic(current, samples=samples, seed=seed)
+    return is_zero(lam.multiplier, samples=samples, seed=seed)
 
 
 def _invert_restricted(target: Expr, axis: int) -> Expr:
@@ -448,10 +453,8 @@ def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
     """
     if current.frame is not SPACETIME:
         raise ValueError("spacetime_remainder expects a space-time current")
-    reduced = current.reduced()
-    if not is_zero(_restricted_divergence(SPACETIME, reduced.first, reduced.second)):
-        raise NotConservedError("divergence does not vanish on solutions")
-    mu, remainder = _checked_remainder(reduced)
+    _require_conserved(current)
+    mu, remainder = _checked_remainder(current.reduced())
     return mu, remainder.second
 
 

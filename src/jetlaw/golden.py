@@ -24,11 +24,7 @@ from .conservation import (
     trivial_witness,
     verify_current,
 )
-from .transform import (
-    characteristic_to_spacetime,
-    current_to_lightcone,
-    current_to_spacetime,
-)
+from .transform import characteristic_to_spacetime, current_to_spacetime
 from .oracle import Rectangle, check_conservation, parse_solution
 
 
@@ -75,9 +71,7 @@ def _spacetime_difference_trivial(mine: Current, classic: Current) -> bool:
     delta = Current(
         SPACETIME, mine.first - classic.first, mine.second - classic.second
     )
-    if not verify_current(delta):
-        return False
-    return is_trivial(current_to_lightcone(delta))
+    return verify_current(delta) and is_trivial(delta)
 
 
 def _pipeline(current, lam, first, second, mu, classic=None) -> Callable[[], bool]:

@@ -9,7 +9,7 @@ PUBLIC = [
     "NotConservedError", "ParseError", "PrincipalDerivativeError", "Rectangle",
     "ReferenceJetPoint", "SPACETIME", "Solution", "SolutionFormatError", "Sym",
     "TrivialWitness", "UnsupportedExpressionError", "UnsupportedIntegrandError",
-    "ZeroVerdict", "as_expr", "characteristic_canonical",
+    "ZeroVerdict", "as_expr", "characteristic", "characteristic_canonical",
     "characteristic_from_json", "characteristic_to_json",
     "characteristic_to_lightcone", "characteristic_to_spacetime",
     "characteristic_with_remainder", "check_characteristic_numeric",

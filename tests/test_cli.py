@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from jetlaw import conservation
-from jetlaw.cli import _VALUE_OPTIONS, build_parser, main
+from jetlaw import LIGHTCONE, Current, conservation, parse, restricted_derivative
+from jetlaw.cli import _fuse_dash_values, build_parser, main
+from jetlaw.transform import current_to_spacetime
 
 
 def run(capsys, *argv):
@@ -214,6 +215,44 @@ def test_is_trivial_exit_codes(capsys):
     assert code == 1 and out.strip() == "trivial: false"
 
 
+def _current_args(current):
+    return [
+        "--frame", current.frame.name,
+        "--first", str(current.first),
+        "--second", str(current.second),
+    ]
+
+
+# energy plus (D_eta h, -D_xi h) for h = exp(w[0,1]*w[1,0]): conserved, but
+# normalization cannot integrate an exponential whose argument is not linear
+_POTENTIAL = parse("exp(w[0,1]*w[1,0])")
+_DRESSED_ENERGY = Current(
+    LIGHTCONE,
+    parse("w[0,1]^2") + restricted_derivative(_POTENTIAL, LIGHTCONE, 1),
+    parse("-w[1,0]^2") - restricted_derivative(_POTENTIAL, LIGHTCONE, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "current, multiplier",
+    [
+        (_DRESSED_ENERGY, "-2*w[1,0] + 2*w[0,1]"),
+        (current_to_spacetime(_DRESSED_ENERGY), "u[1,0]"),
+    ],
+    ids=["lightcone", "spacetime"],
+)
+def test_questions_that_need_no_normalization_are_answered(capsys, current, multiplier):
+    args = _current_args(current)
+    code, out, err = run(capsys, "characteristic", *args)
+    assert (code, out, err) == (0, multiplier + "\n", "")
+    code, out, err = run(capsys, "is-trivial", *args)
+    assert (code, out, err) == (1, "trivial: false\n", "")
+    for command in ("normalize", "witness"):
+        code, out, err = run(capsys, command, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 def test_witness_of_dressed_trivial_current(capsys):
     code, out, _ = run(
         capsys,
@@ -355,8 +394,23 @@ def test_flag_beats_env_beats_file(capsys, tmp_path, monkeypatch):
     assert code == 0 and json.loads(out)["text"] == "t"
 
 
-@pytest.mark.parametrize("command", ["normalize", "characteristic", "is-trivial", "witness"])
-def test_zero_tests_use_the_configured_samples_and_seed(capsys, monkeypatch, command):
+# (2*w[0,1]*w[0,2] + 3*w[0,1], -3*w[1,0]) is trivial: the direct path in
+# either frame and the normalizing commands must all reach their zero tests
+_TRIVIAL = Current(LIGHTCONE, parse("2*w[0,1]*w[0,2] + 3*w[0,1]"), parse("-3*w[1,0]"))
+
+
+@pytest.mark.parametrize(
+    "command, current",
+    [
+        pytest.param(command, _TRIVIAL, id=command)
+        for command in ("normalize", "characteristic", "is-trivial", "witness")
+    ]
+    + [
+        pytest.param(command, current_to_spacetime(_TRIVIAL), id=f"{command}-spacetime")
+        for command in ("characteristic", "is-trivial")
+    ],
+)
+def test_zero_tests_use_the_configured_samples_and_seed(capsys, monkeypatch, command, current):
     calls = []
     is_zero = conservation.is_zero
 
@@ -366,8 +420,7 @@ def test_zero_tests_use_the_configured_samples_and_seed(capsys, monkeypatch, com
 
     monkeypatch.setattr(conservation, "is_zero", spy)
     code, _, err = run(
-        capsys, command, "--samples", "3", "--seed", "7",
-        "--first", "2*w[0,1]*w[0,2] + 3*w[0,1]", "--second", "-3*w[1,0]",
+        capsys, command, "--samples", "3", "--seed", "7", *_current_args(current)
     )
     assert (code, err) == (0, "")
     assert calls and all(options == {"samples": 3, "seed": 7} for options in calls), calls
@@ -402,15 +455,13 @@ def test_unknown_subcommand_raises_system_exit(capsys):
 
 
 def test_value_options_match_the_parser():
-    # _VALUE_OPTIONS is kept by hand; an option missing from it rejects
-    # values that start with a minus sign, such as --second -w[1,0]
+    # every option that takes a value must accept one that starts with a
+    # minus sign, such as --second -w[1,0]
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    taking_values = {
-        option
-        for sub in subparsers.choices.values()
-        for action in sub._actions
-        if action.nargs != 0
-        for option in action.option_strings
-    }
-    assert taking_values == _VALUE_OPTIONS
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            if action.nargs == 0:
+                continue
+            for option in action.option_strings:
+                assert _fuse_dash_values([option, "-1"]) == [f"{option}=-1"], option

@@ -29,6 +29,7 @@ from jetlaw.conservation import (
     Current,
     NotConservedError,
     ReferenceJetPoint,
+    characteristic,
     characteristic_canonical,
     characteristic_from_json,
     characteristic_to_json,
@@ -43,9 +44,13 @@ from jetlaw.conservation import (
     trivial_witness,
     verify_current,
 )
-from jetlaw.transform import characteristic_to_spacetime, current_to_spacetime
+from jetlaw.transform import (
+    characteristic_to_spacetime,
+    current_to_lightcone,
+    current_to_spacetime,
+)
 
-from test_acceptance import _random_canonical
+from test_acceptance import _dressed_currents, _random_canonical
 
 
 def lc(first, second):
@@ -342,6 +347,38 @@ def test_integration_by_parts_agrees_across_frames():
         lam = characteristic_to_spacetime(characteristic_canonical(current))
         mu, _ = spacetime_remainder(current_to_spacetime(current))
         assert lam.multiplier == mu, f"current {index}: {current}"
+
+
+def test_direct_characteristic_matches_the_normalization_round_trip():
+    # criterion 05's dressed currents are not canonical; the round trip
+    # through the canonical form is the reference
+    for index, (_, dressed) in enumerate(_dressed_currents(100)):
+        pulled = current_to_spacetime(dressed)
+        for current, reference in (
+            (dressed, characteristic_canonical(normalize_current(dressed))),
+            (pulled, characteristic_to_spacetime(
+                characteristic_canonical(normalize_current(current_to_lightcone(pulled)))
+            )),
+        ):
+            direct = characteristic(current)
+            assert direct.frame is current.frame, f"current {index}"
+            assert direct.multiplier == reference.multiplier, f"current {index}: {current}"
+            assert str(direct.multiplier) == str(reference.multiplier)
+
+
+def test_characteristic_and_is_trivial_work_in_both_frames():
+    energy = lc("w[0,1]^2", "-w[1,0]^2")
+    assert characteristic(energy) == Characteristic(LIGHTCONE, parse("2*w[0,1] - 2*w[1,0]"))
+    assert characteristic(current_to_spacetime(energy)) == Characteristic(
+        SPACETIME, parse("u[1,0]")
+    )
+    assert not is_trivial(current_to_spacetime(energy))
+    assert is_trivial(current_to_spacetime(lc("w[0,1]", "-w[1,0]")))
+    for broken in (lc("w[1,0]", "0"), Current(SPACETIME, parse("u[1,0]"), parse("0"))):
+        with pytest.raises(NotConservedError):
+            characteristic(broken)
+        with pytest.raises(NotConservedError):
+            is_trivial(broken)
 
 
 def test_spacetime_remainder_rejects_bad_input():
