@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .expr import ParseError, is_zero, parse
@@ -150,7 +151,7 @@ def _as_lightcone(current: Current) -> Current:
 
 def _emit(config: Config, lines, doc) -> None:
     if config.format == "json":
-        print(doc if isinstance(doc, str) else json.dumps(doc))
+        print(doc if isinstance(doc, str) else json.dumps(doc, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -290,9 +291,8 @@ def _cmd_numcheck(args, config: Config) -> int:
         ],
         {
             "kind": "fluxcheck",
-            "residual": result.residual,
-            "coarse_residual": result.coarse_residual,
-            "ratio": result.ratio,
+            # residual, coarse_residual, ratio; JSON has no inf or nan
+            **{k: v if math.isfinite(v) else None for k, v in vars(result).items()},
             "pass": ok,
         },
     )
@@ -377,6 +377,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:  # the parser, the kernel and the antiderivatives recurse
         print("error: input too deep or too large to process", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # float evaluation in numcheck
+        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return 2
 
 

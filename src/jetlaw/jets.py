@@ -67,15 +67,22 @@ SPACETIME = Frame("spacetime", ("t", "x"), "u", leading=(2, 0), equals=((0, 2),)
 _FRAMES = {"lightcone": LIGHTCONE, "spacetime": SPACETIME}
 
 
+def _first_foreign(atoms, frame: Frame):
+    """The first of the Sym and Jet atoms that is foreign to the frame, or None."""
+    for a in atoms:
+        if (a.name not in frame.variables) if isinstance(a, Sym) else (a.var != frame.dependent):
+            return a
+    return None
+
+
 def check_frame(e: Expr, frame: Frame) -> None:
-    """Raise FrameMismatchError if e mentions atoms foreign to the frame."""
-    for a in e.base_atoms():
-        if isinstance(a, Sym) and a.name not in frame.variables:
+    """Raise FrameMismatchError if e mentions atoms foreign to the frame,
+    naming the foreign atom that comes first in sort_key order."""
+    if _first_foreign(e.base_atoms(), frame) is not None:
+        a = _first_foreign(sorted(e.base_atoms(), key=lambda a: a.sort_key), frame)
+        if isinstance(a, Sym):
             raise FrameMismatchError(f"symbol {a} does not belong to frame {frame}")
-        if isinstance(a, Jet) and a.var != frame.dependent:
-            raise FrameMismatchError(
-                f"jet variable {a.var!r} is not the {frame} dependent variable"
-            )
+        raise FrameMismatchError(f"jet variable {a.var!r} is not the {frame} dependent variable")
 
 
 def reduce_to_solutions(e: Expr, frame: Frame) -> Expr:

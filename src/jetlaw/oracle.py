@@ -3,9 +3,10 @@
 Wave-equation solutions are built as u(t, x) = f(x + t) + g(x - t) from a
 small library of profile atoms with exact derivative rules, so every jet
 value is available in closed form to machine precision.  Two checks are
-provided: a contour-flux test of conservation (the net flux of a conserved
-current through a rectangle boundary must vanish) and an off-solution
-sampling test of the exact divergence identity behind a characteristic.
+provided: a contour-flux test of conservation in either frame (the net flux
+of a conserved current through a rectangle boundary must vanish) and an
+off-solution sampling test of the exact divergence identity behind a
+characteristic, which checks light-cone input through its space-time pullback.
 """
 
 from __future__ import annotations
@@ -16,17 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .expr import Expr, Jet, Sym, evaluate_float
-from .jets import LIGHTCONE, SPACETIME, equation_expression
-from .conservation import (
-    CanonicalCurrent,
-    Characteristic,
-    Current,
-    characteristic_with_remainder,
-    divergence,
-    normalize_current,
-    spacetime_remainder,
-)
+from .expr import Expr, Jet, evaluate_float
+from .jets import LIGHTCONE, SPACETIME, equation_expression, total_derivative
+from .conservation import Characteristic, Current, divergence, spacetime_remainder
+from .transform import characteristic_to_spacetime, current_to_spacetime
 
 
 class SolutionFormatError(ValueError):
@@ -176,27 +170,31 @@ def eval_jet(solution: Solution, frame, jet: Jet, first: float, second: float) -
     return 0.0
 
 
+def _sorted_atoms(exprs: Iterable[Expr]) -> tuple:
+    """Every Sym and Jet atom of the expressions, in sort_key order."""
+    atoms = frozenset().union(*(e.base_atoms() for e in exprs))
+    return tuple(sorted(atoms, key=lambda a: a.sort_key))
+
+
 def _environment(
     solution: Solution,
     frame,
     coords: tuple,
-    exprs: Iterable[Expr],
-    offset=None,
+    atoms: Sequence,
+    rng: random.Random | None = None,
 ) -> dict:
-    """Float environment covering every atom of the given expressions."""
+    """Float environment for the atoms at a point in frame coordinates; with
+    rng, each jet in turn gets an offset drawn from [-1, 1]."""
     env: dict = {
         frame.symbol(0): float(coords[0]),
         frame.symbol(1): float(coords[1]),
     }
-    for e in exprs:
-        for a in e.base_atoms():
-            if a in env:
-                continue
-            if isinstance(a, Jet):
-                value = eval_jet(solution, frame, a, coords[0], coords[1])
-                env[a] = value + (offset(a) if offset else 0.0)
-            elif isinstance(a, Sym):
-                raise ValueError(f"expression mentions foreign symbol {a}")
+    for a in atoms:
+        if isinstance(a, Jet):
+            value = eval_jet(solution, frame, a, coords[0], coords[1])
+            env[a] = (value + rng.uniform(-1.0, 1.0)) if rng else value
+        elif a not in env:
+            raise ValueError(f"expression mentions foreign symbol {a}")
     return env
 
 
@@ -221,6 +219,8 @@ class Rectangle:
     panels: int = 128
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.t0, self.t1, self.x0, self.x1))):
+            raise ValueError("rectangle corners must be finite")
         if not (self.t1 > self.t0 and self.x1 > self.x0):
             raise ValueError("rectangle must have positive extent")
         if self.panels < 16 or self.panels % 2:
@@ -242,20 +242,17 @@ def _component_evaluators(current: Current, solution: Solution):
     symbolic transform is involved, keeping the check independent.
     """
     reduced = current.reduced()
-    exprs = (reduced.first, reduced.second)
+    atoms = _sorted_atoms((reduced.first, reduced.second))
     if current.frame is SPACETIME:
 
         def values(t: float, x: float):
-            env = _environment(solution, SPACETIME, (t, x), exprs)
-            return (
-                evaluate_float(reduced.first, env),
-                evaluate_float(reduced.second, env),
-            )
+            env = _environment(solution, SPACETIME, (t, x), atoms)
+            return evaluate_float(reduced.first, env), evaluate_float(reduced.second, env)
 
         return values
 
     def values(t: float, x: float):
-        env = _environment(solution, LIGHTCONE, (x + t, x - t), exprs)
+        env = _environment(solution, LIGHTCONE, (x + t, x - t), atoms)
         f_val = evaluate_float(reduced.first, env)
         g_val = evaluate_float(reduced.second, env)
         return f_val - g_val, f_val + g_val
@@ -307,42 +304,30 @@ def check_characteristic_numeric(
 ) -> float:
     """Max gap in the divergence identity at randomly perturbed jet points.
 
-    The identity Div(current) = multiplier * (equation LHS) + Div(remainder)
-    holds in the full jet space, so both sides are evaluated with solution
-    jet values plus random offsets in [-1, 1] on every jet coordinate; a
-    wrong multiplier leaves a gap of the size of the equation residue.
+    Light-cone input, with points read as (xi, eta), is checked through its
+    space-time pullback.  The identity D_t T + D_x X = mu * (u[2,0] - u[0,2])
+    + D_x X0, X0 from ``spacetime_remainder``, holds in the full jet space, so
+    both sides are evaluated with solution jet values plus random offsets in
+    [-1, 1]; a wrong multiplier mu leaves a gap of the size of the equation
+    residue.  Raises NotConservedError for a current that is not conserved.
     """
     if characteristic.frame is not current.frame:
         raise ValueError("characteristic and current frames differ")
     rng = random.Random(seed)
     if not points:
         points = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
-
     if current.frame is LIGHTCONE:
-        subject = (
-            current
-            if isinstance(current, CanonicalCurrent)
-            else normalize_current(current)
-        )
-        _, remainder = characteristic_with_remainder(subject)
-    else:
-        subject = current.reduced()
-        remainder = Current(SPACETIME, Expr.zero(), spacetime_remainder(current)[1])
-    lhs = divergence(subject)
-    rhs = characteristic.multiplier * equation_expression(current.frame) + divergence(
-        remainder
-    )
+        characteristic = characteristic_to_spacetime(characteristic)
+        current = current_to_spacetime(current)
+        points = [((xi - eta) / 2, (xi + eta) / 2) for xi, eta in points]
 
+    _, remainder = spacetime_remainder(current)
+    lhs = divergence(current.reduced())
+    equation = equation_expression(SPACETIME)
+    rhs = characteristic.multiplier * equation + total_derivative(remainder, SPACETIME, 1)
+    atoms = _sorted_atoms((lhs, rhs))
     worst = 0.0
     for coords in points:
-        offsets: dict = {}
-
-        def offset(atom, _offsets=offsets):
-            if atom not in _offsets:
-                _offsets[atom] = rng.uniform(-1.0, 1.0)
-            return _offsets[atom]
-
-        env = _environment(solution, current.frame, coords, (lhs, rhs), offset)
-        gap = abs(evaluate_float(lhs, env) - evaluate_float(rhs, env))
-        worst = max(worst, gap)
+        env = _environment(solution, SPACETIME, coords, atoms, rng)
+        worst = max(worst, abs(evaluate_float(lhs, env) - evaluate_float(rhs, env)))
     return worst

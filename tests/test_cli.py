@@ -345,6 +345,54 @@ def test_numcheck_rejects_bad_rectangle(capsys):
     assert "bad rectangle" in err
 
 
+@pytest.mark.parametrize(
+    "solution, rect",
+    [
+        ("sin:1,0;poly:0,0,1", "0,1e300,0,1"),  # g(x - t)^2 overflows
+        ("exp:1000,0;", "0,1,0,1"),  # exp(1000) overflows
+    ],
+    ids=["huge-rectangle", "huge-profile"],
+)
+def test_numcheck_overflow_exits_2(capsys, solution, rect):
+    code, out, err = run(
+        capsys,
+        "numcheck",
+        "--first", "w[0,1]^2", "--second", "-w[1,0]^2",
+        "--solution", solution,
+        "--rect", rect,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: arithmetic overflow") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("rect", ["0,inf,0,1", "nan,1,0,1", "0,1,-inf,1"])
+def test_numcheck_rejects_non_finite_corners(capsys, rect):
+    code, out, err = run(
+        capsys,
+        "numcheck",
+        "--first", "w[0,1]^2", "--second", "-w[1,0]^2",
+        "--solution", "sin:1,0;",
+        "--rect", rect,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: bad rectangle: rectangle corners must be finite\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_numcheck_json_writes_an_infinite_ratio_as_null(capsys):
+    # a constant current on the zero solution: both residuals are 0
+    args = ("numcheck", "--first", "exp(w[1,0])", "--second", "0", "--solution", ";")
+    code, out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert (doc["residual"], doc["ratio"], doc["pass"]) == (0.0, None, True)
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and "ratio: inf" in out.splitlines()
+
+
 def test_numcheck_rejects_bad_solution(capsys):
     code, _, err = run(
         capsys,

@@ -58,6 +58,21 @@ def test_check_frame_rejects_foreign_atoms():
         check_frame(parse("exp(w[0,1])"), SPACETIME)
 
 
+@pytest.mark.parametrize(
+    "text, frame, message",
+    [
+        ("t*x*u[0,1]*v[1,0]", LIGHTCONE, "symbol t does not belong to frame lightcone"),
+        ("x*v[1,0]*u[0,1]", LIGHTCONE, "symbol x does not belong to frame lightcone"),
+        ("v[1,0]*u[0,1]*w[2,0]", LIGHTCONE, "jet variable 'u' is not the lightcone dependent variable"),
+        ("eta*xi*w[0,1]*t", SPACETIME, "symbol xi does not belong to frame spacetime"),
+    ],
+)
+def test_check_frame_names_the_first_foreign_atom_in_sort_order(text, frame, message):
+    with pytest.raises(FrameMismatchError) as caught:
+        check_frame(parse(text), frame)
+    assert str(caught.value) == message
+
+
 REDUCE_CASES = [
     (SPACETIME, "u[2,0]", "u[0,2]"),
     (SPACETIME, "u[3,1]", "u[1,3]"),

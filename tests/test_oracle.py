@@ -1,12 +1,17 @@
 """Numeric oracle: closed-form solutions, jet evaluation, flux quadrature."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jetlaw
 from jetlaw.expr import Jet, Sym, parse
-from jetlaw.jets import LIGHTCONE, SPACETIME
-from jetlaw.conservation import Characteristic, Current
+from jetlaw.jets import LIGHTCONE, SPACETIME, total_derivative
+from jetlaw.conservation import Characteristic, Current, characteristic
+from jetlaw.transform import characteristic_to_spacetime, current_to_spacetime
 from jetlaw.oracle import (
     Damp,
     Poly,
@@ -19,6 +24,8 @@ from jetlaw.oracle import (
     eval_jet,
     parse_solution,
 )
+
+from test_acceptance import _dressed_currents
 
 
 # --- profile atoms -------------------------------------------------------------
@@ -185,6 +192,9 @@ def test_rectangle_validation():
         Rectangle(0.0, 1.0, 0.0, 1.0, 127)  # odd panel count
     with pytest.raises(ValueError):
         Rectangle(0.0, 1.0, 0.0, 1.0, 8)  # too coarse to halve
+    for corners in ((0.0, math.inf, 0.0, 1.0), (math.nan, 1.0, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            Rectangle(*corners, 128)
 
 
 def test_energy_flux_vanishes_with_fourth_order_decay():
@@ -266,3 +276,79 @@ def test_characteristic_numeric_requires_conserved_current():
             Current(LIGHTCONE, parse("w[1,0]"), parse("0")),
             SOLUTIONS[0],
         )
+
+
+# --- one identity for both frames ----------------------------------------------------------
+
+# energy plus (D_eta h, -D_xi h) for h = exp(w[0,1]*w[1,0]); normalization
+# cannot integrate its exponential, the characteristic check needs none
+_POTENTIAL = parse("exp(w[0,1]*w[1,0])")
+DRESSED_ENERGY = Current(
+    LIGHTCONE,
+    ENERGY.first + total_derivative(_POTENTIAL, LIGHTCONE, 1),
+    ENERGY.second - total_derivative(_POTENTIAL, LIGHTCONE, 0),
+)
+
+
+def _both_frames(current):
+    return (current, current_to_spacetime(current))
+
+
+def test_characteristic_checks_every_current_it_answers_in_both_frames():
+    dressed = [current for _, current in _dressed_currents(100)] + [DRESSED_ENERGY]
+    for index, lightcone in enumerate(dressed):
+        for current in _both_frames(lightcone):
+            lam = characteristic(current)
+            wrong = Characteristic(current.frame, lam.multiplier + 1)
+            gap = check_characteristic_numeric(lam, current, SOLUTIONS[0], seed=index)
+            assert gap < 1e-8, f"current {index} in {current.frame}: {gap}"
+            gap = check_characteristic_numeric(wrong, current, SOLUTIONS[0], seed=index)
+            assert gap > 1e-3, f"current {index} in {current.frame}: {gap}"
+
+
+def test_lightcone_points_are_read_as_xi_eta():
+    # the coordinate term makes the gap depend on the point: xi = x + t
+    wrong = Characteristic(LIGHTCONE, ENERGY_LAMBDA.multiplier + parse("xi"))
+    pulled = (characteristic_to_spacetime(wrong), current_to_spacetime(ENERGY))
+    xi, eta = 0.75, -0.25  # (t, x) = (0.5, 0.25), exact in binary
+    gap = check_characteristic_numeric(wrong, ENERGY, SOLUTIONS[0], [(xi, eta)], seed=5)
+    assert gap > 1e-3
+    assert gap == check_characteristic_numeric(*pulled, SOLUTIONS[0], [(0.5, 0.25)], seed=5)
+    assert gap != check_characteristic_numeric(*pulled, SOLUTIONS[0], [(xi, eta)], seed=5)
+
+
+def test_lightcone_multiplier_is_checked_modulo_terms_that_vanish_on_solutions():
+    # the pullback of the multiplier reduces it, so w[1,1] drops out
+    padded = Characteristic(LIGHTCONE, ENERGY_LAMBDA.multiplier + parse("w[1,1]*w[0,3]"))
+    for solution in SOLUTIONS:
+        assert check_characteristic_numeric(padded, ENERGY, solution) == 0.0
+
+
+_SEEDED_GAP = """
+import sys
+from jetlaw import LIGHTCONE, Characteristic, Current, Jet, parse, parse_solution
+from jetlaw import check_characteristic_numeric
+
+if sys.argv[1] == "churn":  # intern the jets in another order, at other addresses
+    ballast = [object() for _ in range(5000)]
+    held = [Jet(v, i, j) for v in "wu" for i in range(6, -1, -1) for j in range(6, -1, -1)]
+energy = Current(LIGHTCONE, parse("w[0,1]^2"), parse("-w[1,0]^2"))
+wrong = Characteristic(LIGHTCONE, parse("2*w[0,1] - 2*w[1,0] + w[0,2]*w[2,0] + 1"))
+solution = parse_solution("sin:1,0;poly:0,0,1")
+print(repr(check_characteristic_numeric(wrong, energy, solution, seed=3)))
+"""
+
+
+def test_seeded_gap_is_the_same_in_every_process():
+    package_root = os.path.dirname(os.path.dirname(jetlaw.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    gaps = [
+        subprocess.run(
+            [sys.executable, "-c", _SEEDED_GAP, history],
+            capture_output=True, text=True, check=True, timeout=60, env=env,
+        ).stdout.strip()
+        for history in ("plain", "churn")
+    ]
+    assert gaps[0] == gaps[1]
+    assert float(gaps[0]) > 1e-3
