@@ -45,7 +45,6 @@ from .conservation import (
     Characteristic,
     Current,
     NotConservedError,
-    ReferenceJetPoint,
     TrivialWitness,
     characteristic,
     characteristic_canonical,

@@ -375,7 +375,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # every input error of the package is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError:  # the parser, the kernel and the antiderivatives recurse
+    except RecursionError:  # the parser and the kernel recurse once per nesting level
         print("error: input too deep or too large to process", file=sys.stderr)
         return 2
     except OverflowError as exc:  # float evaluation in numcheck

@@ -7,11 +7,10 @@ file, JETLAW_* environment variables, explicit command-line flags.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .expr import ParseError, Sym, as_expr, parse
-from .conservation import ORIGIN, ReferenceJetPoint
 
 
 class ConfigError(ValueError):
@@ -24,29 +23,32 @@ class Config:
     samples: int = 8
     tolerance: float = 1e-8
     format: str = "text"
-    reference_point: ReferenceJetPoint = ORIGIN
+    reference_point: dict = field(default_factory=dict)  # atom -> Fraction
 
 
 ENV_PREFIX = "JETLAW_"
 _KEYS = ("seed", "samples", "tolerance", "format", "ref_point")
 
 
-def parse_reference_point(text: str) -> ReferenceJetPoint:
-    """Parse 'atom=value' pairs joined by commas at the top level.
+def parse_reference_point(text: str) -> dict:
+    """Parse 'atom=value' pairs joined by commas at the top level into an
+    {atom: Fraction} dict; an empty text gives the origin, {}.
 
     Atom syntax matches the expression grammar (w[1,0]=2, xi=-1/2), so the
-    jet brackets' own commas are honored by splitting on '=' first.
+    jet brackets' own commas are honored by splitting on '=' first; a
+    rational value holds no comma, so each one ends at the first comma
+    after its '='.
     """
     text = text.strip()
     if not text:
-        return ORIGIN
+        return {}
     pieces = text.split("=")
     if len(pieces) < 2:
         raise ConfigError(f"reference point needs atom=value pairs, got {text!r}")
     entries = []
     name = pieces[0]
     for middle in pieces[1:-1]:
-        value, _, next_name = middle.rpartition(",")
+        value, _, next_name = middle.partition(",")
         if not value or not next_name:
             raise ConfigError(f"malformed reference point near {middle!r}")
         entries.append((name.strip(), value.strip()))
@@ -69,7 +71,7 @@ def parse_reference_point(text: str) -> ReferenceJetPoint:
             values[atom] = Fraction(value_text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad reference value {value_text!r}") from exc
-    return ReferenceJetPoint.from_dict(values)
+    return values
 
 
 def _apply(config: Config, key: str, raw: str, origin: str) -> Config:

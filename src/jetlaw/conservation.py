@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .expr import (
@@ -50,36 +51,6 @@ from .jets import (
 
 class NotConservedError(ValueError):
     """The pair fails D1 F + D2 G = 0 on solutions."""
-
-
-@dataclass(frozen=True)
-class ReferenceJetPoint:
-    """Base values for symbols and jets used by the normalization integrals.
-
-    Unlisted coordinates default to zero.  Kept as a sorted tuple of
-    (atom, value) pairs so instances are hashable.
-    """
-
-    overrides: tuple = ()
-
-    @staticmethod
-    def from_dict(values: Mapping) -> "ReferenceJetPoint":
-        items = tuple(
-            sorted(
-                ((atom, Fraction(v)) for atom, v in values.items()),
-                key=lambda av: av[0].sort_key,
-            )
-        )
-        return ReferenceJetPoint(items)
-
-    def value(self, atom) -> Fraction:
-        for a, v in self.overrides:
-            if a == atom:
-                return v
-        return Fraction(0)
-
-
-ORIGIN = ReferenceJetPoint()
 
 
 @dataclass(frozen=True)
@@ -176,13 +147,24 @@ def _require_conserved(current: Current, *, samples: int = 8, seed: int = 42) ->
         raise NotConservedError("divergence does not vanish on solutions")
 
 
+def _require_canonical(current: Current) -> None:
+    if not isinstance(current, CanonicalCurrent):
+        raise ValueError(
+            f"expected a CanonicalCurrent (see normalize_current), not {type(current).__name__}"
+        )
+
+
 def _xi_orders(e: Expr) -> list[int]:
     """Indices k (w itself counting as k = 0) with d e / d w[k,0] nonzero."""
     return sorted(a.i for a in e.jets("w") if a.j == 0)
 
 
 def normalize_current(
-    current: Current, point: ReferenceJetPoint = ORIGIN, *, samples: int = 8, seed: int = 42
+    current: Current,
+    point: Mapping = MappingProxyType({}),
+    *,
+    samples: int = 8,
+    seed: int = 42,
 ) -> CanonicalCurrent:
     """Bring a conserved light-cone current to canonical shape.
 
@@ -190,7 +172,8 @@ def normalize_current(
     (D_eta H, -D_xi H), so the output is equivalent to the input and has
     the same characteristic.  Steps: zero out mixed derivatives; strip the
     xi-derivative dependence (w itself included) of F from highest order
-    down, integrating the matching slice of G from the reference point;
+    down, integrating the matching slice of G from the reference point
+    (point maps atoms to rational base values; unlisted atoms start at 0);
     strip the xi dependence of F the same way; the conservation identity
     then forces G into xi-sided shape.  samples and seed configure the
     zero tests, as in ``verify_current``.
@@ -227,7 +210,7 @@ def normalize_current(
             previous_q = q
         target = Jet("w", q, 0)
         integrand = diff_partial(second, Jet("w", q + 1, 0))
-        shift = integrate_univar(integrand, target, lower=point.value(target))
+        shift = integrate_univar(integrand, target, lower=point.get(target, 0))
         first = first + restricted_derivative(shift, LIGHTCONE, 1)
         second = second - restricted_derivative(shift, LIGHTCONE, 0)
         if first.depends_on(target):
@@ -238,7 +221,7 @@ def normalize_current(
         raise AssertionError("normalization did not terminate")
 
     if first.depends_on(Sym("xi")):
-        shift = integrate_univar(second, Sym("xi"), lower=point.value(Sym("xi")))
+        shift = integrate_univar(second, Sym("xi"), lower=point.get(Sym("xi"), 0))
         first = first + restricted_derivative(shift, LIGHTCONE, 1)
         second = second - restricted_derivative(shift, LIGHTCONE, 0)
         if first.depends_on(Sym("xi")):
@@ -338,6 +321,7 @@ def characteristic_with_remainder(
     where F0 and G0 vanish on solutions (every term carries a mixed jet).
     The identity is asserted exactly before returning.
     """
+    _require_canonical(current)
     multiplier, remainder = _checked_remainder(current)
     return Characteristic(LIGHTCONE, multiplier), remainder
 
@@ -409,6 +393,7 @@ def trivial_witness(
     one-sided restricted derivatives on the rest.  The defining identities
     are re-checked exactly before returning.
     """
+    _require_canonical(current)
     parts, _ = _integrate_by_parts(current)
     if not is_zero(parts[0] + parts[1], samples=samples, seed=seed):
         raise ValueError("current is not trivial: nonzero characteristic")

@@ -16,8 +16,8 @@ on ints only: a product multiplies numerators and denominators, and a sum
 or a derivative that meets several denominators collects the numerators
 over each in its own dict and scales each dict once, by the lcm over its
 denominator.  :class:`fractions.Fraction` appears only at the boundary:
-``from_rational``, ``as_rational``, ``leading_coefficient``, printing, the
-public ``terms`` and the high-precision zero test.
+``from_rational``, ``as_rational``, printing, the public ``terms`` and the
+high-precision zero test.
 
 Canonical form is maintained by construction: arithmetic merges monomials,
 drops zero coefficients, fuses products of exponentials (``exp(a)*exp(b)``
@@ -154,10 +154,6 @@ class Jet(_Atom):
             self = cls._intern((var, i, j), (1, var, i, j), var, i, j)
         return self
 
-    @property
-    def order(self) -> int:
-        return self.i + self.j
-
     def shifted(self, axis: int) -> "Jet":
         """The jet one derivative deeper along axis 0 (first) or 1 (second)."""
         if axis == 0:
@@ -193,11 +189,6 @@ class Fn(_Atom):
 
 
 Atom = Union[Sym, Jet, Fn]
-
-XI = Sym("xi")
-ETA = Sym("eta")
-T = Sym("t")
-X = Sym("x")
 
 # A monomial is a tuple of (atom, exponent) pairs, ascending in atom sort
 # key, exponents >= 1.  The empty tuple is the constant monomial.
@@ -427,11 +418,6 @@ class Expr:
         if len(self._terms) == 1 and self._terms[0][0] == ():
             return Fraction(self._terms[0][1], self._den)
         return None
-
-    def leading_coefficient(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        return Fraction(self._terms[0][1], self._den)
 
     def base_atoms(self) -> frozenset:
         """All Sym and Jet atoms, including those inside function arguments."""
@@ -728,14 +714,28 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
     return _build_grouped(groups, e._den)
 
 
+# The n-th antiderivative G_n of head(a*v + b) in v is sign * head_n(a*v + b) / a^n,
+# with (sign, head_n) read from the head's table at index (n - 1) mod its period.
+_ANTIDERIVATIVES = {
+    "exp": ((1, "exp"),),
+    "sin": ((-1, "cos"), (-1, "sin"), (1, "cos"), (1, "sin")),
+    "cos": ((1, "sin"), (-1, "cos"), (-1, "sin"), (1, "cos")),
+}
+
+
 def integrate_univar(e: Expr, v, lower=0) -> Expr:
     """Definite integral of e in the single variable v from the base point.
 
     Supported integrand classes, per monomial in v: polynomial, and
-    polynomial times a single first-power exp/sin/cos factor whose argument
-    is linear in v with a nonzero rational slope.  The result H satisfies
-    diff_partial(H, v) == e and H|_{v=lower} == 0 exactly.  Anything else
-    raises UnsupportedIntegrandError.
+    polynomial times a single first-power exp/sin/cos factor g(a*v + b)
+    whose argument is linear in v with a nonzero rational slope a.  The
+    latter is integrated by parts k + 1 times,
+
+        int v^k g(a*v + b) dv = sum_{j=0..k} (-1)^j k!/(k-j)! v^(k-j) G_{j+1},
+
+    where G_n = +-exp|sin|cos(a*v + b) / a^n is the n-th antiderivative of g.
+    The result H satisfies diff_partial(H, v) == e and H|_{v=lower} == 0
+    exactly.  Anything else raises UnsupportedIntegrandError.
     """
     if not isinstance(v, (Sym, Jet)):
         raise TypeError("integration variable must be a symbol or jet atom")
@@ -763,44 +763,28 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
                 rest.append((a, p))
         rest_expr = Expr._monomial(tuple(rest), c, e._den)
         if trans is None:
-            part = rest_expr * v_expr ** (k + 1) / (k + 1)
-        else:
-            slope = diff_partial(trans.arg, v).as_rational()
-            if slope is None or slope == 0:
-                raise UnsupportedIntegrandError(
-                    f"argument of {trans} is not linear in {v} with rational slope"
-                )
-            if trans.head == "exp":
-                part = rest_expr * _exp_antiderivative(k, slope, trans, v_expr)
-            elif trans.head in ("sin", "cos"):
-                part = rest_expr * _trig_antiderivative(k, trans.head, slope, trans.arg, v_expr)
-            else:
-                raise UnsupportedIntegrandError(f"cannot integrate {trans.head}(...)")
-        parts.append(part)
+            parts.append(rest_expr * v_expr ** (k + 1) / (k + 1))
+            continue
+        slope = diff_partial(trans.arg, v).as_rational()
+        if slope is None or slope == 0:
+            raise UnsupportedIntegrandError(
+                f"argument of {trans} is not linear in {v} with rational slope"
+            )
+        table = _ANTIDERIVATIVES.get(trans.head)
+        if table is None:
+            raise UnsupportedIntegrandError(f"cannot integrate {trans.head}(...)")
+        heads = {head: rest_expr * fn_apply(head, trans.arg) for _, head in table}
+        inverse = 1 / slope
+        coeff = inverse  # (-1)^j k!/(k-j)! / a^(j+1)
+        for j in range(k + 1):
+            sign, head = table[j % len(table)]
+            v_mono = ((v, k - j),) if j < k else ()
+            parts.append(
+                Expr._monomial(v_mono, sign * coeff.numerator, coeff.denominator) * heads[head]
+            )
+            coeff *= -(k - j) * inverse
     anti = Expr._sum(parts)
     return anti - substitute(anti, {v: lower})
-
-
-def _exp_antiderivative(k: int, a: Fraction, atom: Fn, v_expr: Expr) -> Expr:
-    # d/dv [v^k exp/a] = v^k exp + (k/a) v^(k-1) exp
-    e_expr = Expr.from_atom(atom)
-    if k == 0:
-        return e_expr / a
-    return v_expr**k * e_expr / a - _exp_antiderivative(k - 1, a, atom, v_expr) * Fraction(k) / a
-
-
-def _trig_antiderivative(k: int, head: str, a: Fraction, arg: Expr, v_expr: Expr) -> Expr:
-    sin_e = fn_apply("sin", arg)
-    cos_e = fn_apply("cos", arg)
-    if head == "sin":
-        lead = -(v_expr**k) * cos_e / a if k else -cos_e / a
-        if k == 0:
-            return lead
-        return lead + _trig_antiderivative(k - 1, "cos", a, arg, v_expr) * Fraction(k) / a
-    lead = v_expr**k * sin_e / a if k else sin_e / a
-    if k == 0:
-        return lead
-    return lead - _trig_antiderivative(k - 1, "sin", a, arg, v_expr) * Fraction(k) / a
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ PUBLIC = [
     "CanonicalCurrent", "Characteristic", "Config", "ConfigError", "Current",
     "Expr", "Fn", "Frame", "FrameMismatchError", "Jet", "LIGHTCONE",
     "NotConservedError", "ParseError", "PrincipalDerivativeError", "Rectangle",
-    "ReferenceJetPoint", "SPACETIME", "Solution", "SolutionFormatError", "Sym",
+    "SPACETIME", "Solution", "SolutionFormatError", "Sym",
     "TrivialWitness", "UnsupportedExpressionError", "UnsupportedIntegrandError",
     "ZeroVerdict", "as_expr", "characteristic", "characteristic_canonical",
     "characteristic_from_json", "characteristic_to_json",

@@ -284,6 +284,23 @@ def test_witness_does_not_call_a_trivial_current_nontrivial(capsys):
     assert "not trivial" not in err
 
 
+# a trivial current whose normalization integrates w[1,0]^1200 * exp(w[1,0])
+# by parts 1201 times
+_POWER_1200 = [
+    "--first", "w[0,2]*w[1,0]^1200*exp(w[1,0])",
+    "--second", "-w[0,1]*w[2,0]*(1200*w[1,0]^1199 + w[1,0]^1200)*exp(w[1,0])",
+]
+
+
+def test_high_power_times_exp_is_answered_by_every_command(capsys):
+    assert run(capsys, "verify", *_POWER_1200) == (0, "conserved: true\n", "")
+    assert run(capsys, "is-trivial", *_POWER_1200) == (0, "trivial: true\n", "")
+    assert run(capsys, "normalize", *_POWER_1200) == (0, "first: 0\nsecond: 0\n", "")
+    code, out, err = run(capsys, "witness", *_POWER_1200)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["f-part: 0", "g-part: 0", "constant: 0"]
+
+
 # --- multiplier verdicts ----------------------------------------------------------------
 
 def test_is_characteristic_accepts_and_rejects(capsys):

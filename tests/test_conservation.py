@@ -23,12 +23,12 @@ from jetlaw.jets import (
     restricted_derivative,
     total_derivative,
 )
+from jetlaw.config import parse_reference_point
 from jetlaw.conservation import (
     CanonicalCurrent,
     Characteristic,
     Current,
     NotConservedError,
-    ReferenceJetPoint,
     characteristic,
     characteristic_canonical,
     characteristic_from_json,
@@ -167,8 +167,7 @@ def test_normalize_rejects_non_conserved():
 
 def test_normalize_reference_point_shifts_representative():
     cur = lc("1/4*w[0,1]^2 + w[1,0]*w[0,2]", "-1/4*w[1,0]^2 - w[0,1]*w[2,0]")
-    point = ReferenceJetPoint.from_dict({Jet("w", 1, 0): Fraction(2)})
-    out = normalize_current(cur, point)
+    out = normalize_current(cur, {Jet("w", 1, 0): Fraction(2)})
     # a different reference moves F by a trivial amount only
     base = normalize_current(cur)
     gap = characteristic_canonical(out).multiplier - characteristic_canonical(base).multiplier
@@ -224,6 +223,13 @@ def test_remainder_identity_exact(first, second, lam):
     # remainder components vanish on solutions: every term has a mixed jet
     assert reduce_to_solutions(remainder.first, LIGHTCONE) == 0
     assert reduce_to_solutions(remainder.second, LIGHTCONE) == 0
+
+
+def test_remainder_requires_a_canonical_current():
+    # not conserved: the divergence identity cannot close on it
+    cur = lc("w[0,1]^2 + w[0,1]*w[1,0]", "-w[1,0]^2 - w[0,0]*w[1,0]")
+    with pytest.raises(ValueError, match="CanonicalCurrent"):
+        characteristic_with_remainder(cur)
 
 
 def test_remainder_nontrivial_for_higher_order():
@@ -305,6 +311,13 @@ def test_trivial_witness_rejects_nontrivial():
         trivial_witness(canonical("w[0,1]^2", "-w[1,0]^2"))
     with pytest.raises(ValueError):
         trivial_witness(canonical("-w[0,1]", "-w[1,0]"))
+
+
+def test_trivial_witness_requires_a_canonical_current():
+    cur = lc("w[0,1] + w[1,1]", "-w[1,0]")  # trivial, but carries a mixed jet
+    assert is_trivial(cur)
+    with pytest.raises(ValueError, match="CanonicalCurrent"):
+        trivial_witness(cur)
 
 
 def test_trivial_witness_rejects_transcendental_components():
@@ -390,12 +403,9 @@ def test_spacetime_remainder_rejects_bad_input():
 
 # --- reference points and serialization ----------------------------------------
 
-def test_reference_point_lookup():
-    point = ReferenceJetPoint.from_dict({Sym("xi"): Fraction(1, 2), Jet("w", 1, 0): 3})
-    assert point.value(Sym("xi")) == Fraction(1, 2)
-    assert point.value(Jet("w", 1, 0)) == 3
-    assert point.value(Jet("w", 0, 1)) == 0
-    assert hash(point) is not None
+def test_parse_reference_point_gives_a_plain_mapping():
+    point = parse_reference_point("xi=1/2,w[1,0]=3")
+    assert point == {Sym("xi"): Fraction(1, 2), Jet("w", 1, 0): 3}
 
 
 def test_current_json_round_trip():

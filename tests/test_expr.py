@@ -335,6 +335,28 @@ def test_polynomial_integration_round_trip(coeffs, var):
     assert diff_partial(integrate_univar(e, var), var) == e
 
 
+@given(
+    st.integers(0, 30),
+    st.sampled_from(["exp", "sin", "cos"]),
+    rationals.filter(bool),
+    rationals,
+)
+@settings(max_examples=60, deadline=None)
+def test_transcendental_integration_round_trip(k, head, slope, lower):
+    e = as_expr(T) ** k * fn_apply(head, as_expr(T) * slope + as_expr(Jet("w", 0, 1)))
+    result = integrate_univar(e, T, lower=lower)
+    assert diff_partial(result, T) == e
+    assert substitute(result, {T: as_expr(lower)}) == 0
+
+
+def test_integrate_high_power_times_exp():
+    # 2001 integrations by parts, none of them a nested call
+    e = parse("t^2000*exp(t)")
+    result = integrate_univar(e, T)
+    assert diff_partial(result, T) == e
+    assert substitute(result, {T: as_expr(0)}) == 0
+
+
 def test_atom_validation():
     with pytest.raises(ValueError):
         Jet("w", -1, 0)
