@@ -143,9 +143,12 @@ def _load_current(args) -> Current:
     return Current(frame, components[0], components[1])
 
 
-def _as_lightcone(current: Current) -> Current:
-    if current.frame is LIGHTCONE:
+def _pulled(current: Current, frame: Frame | None = None) -> Current:
+    """The current in frame, by default in the frame it is not given in."""
+    if current.frame is frame:
         return current
+    if current.frame is LIGHTCONE:
+        return current_to_spacetime(current)
     return current_to_lightcone(current)
 
 
@@ -175,7 +178,7 @@ def _cmd_verify(args, config: Config) -> int:
 
 
 def _cmd_normalize(args, config: Config) -> int:
-    current = _as_lightcone(_load_current(args))
+    current = _pulled(_load_current(args), LIGHTCONE)
     canonical = normalize_current(
         current, config.reference_point, samples=config.samples, seed=config.seed
     )
@@ -208,7 +211,7 @@ def _cmd_is_trivial(args, config: Config) -> int:
 
 
 def _cmd_witness(args, config: Config) -> int:
-    current = _as_lightcone(_load_current(args))
+    current = _pulled(_load_current(args), LIGHTCONE)
     canonical = normalize_current(
         current, config.reference_point, samples=config.samples, seed=config.seed
     )
@@ -252,12 +255,7 @@ def _cmd_is_characteristic(args, config: Config) -> int:
 
 
 def _cmd_pullback(args, config: Config) -> int:
-    current = _load_current(args)
-    moved = (
-        current_to_spacetime(current)
-        if current.frame is LIGHTCONE
-        else current_to_lightcone(current)
-    )
+    moved = _pulled(_load_current(args))
     _emit(
         config,
         [f"frame: {moved.frame}", f"first: {moved.first}", f"second: {moved.second}"],

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .expr import ParseError, Sym, as_expr, parse
+from .expr import Jet, ParseError, Sym, as_expr, parse
 
 
 class ConfigError(ValueError):
@@ -32,7 +32,8 @@ _KEYS = ("seed", "samples", "tolerance", "format", "ref_point")
 
 def parse_reference_point(text: str) -> dict:
     """Parse 'atom=value' pairs joined by commas at the top level into an
-    {atom: Fraction} dict; an empty text gives the origin, {}.
+    {atom: Fraction} dict; an empty text gives the origin, {}.  The atoms
+    are those normalization integrates from: xi and w[k,0] for k >= 0.
 
     Atom syntax matches the expression grammar (w[1,0]=2, xi=-1/2), so the
     jet brackets' own commas are honored by splitting on '=' first; a
@@ -65,8 +66,8 @@ def parse_reference_point(text: str) -> dict:
         if len(atoms) != 1 or atom_expr != as_expr(next(iter(atoms))):
             raise ConfigError(f"reference atom {atom_text!r} is not a single atom")
         atom = next(iter(atoms))
-        if isinstance(atom, Sym) and atom.name not in ("xi", "eta"):
-            raise ConfigError(f"reference point fixes light-cone atoms, not {atom}")
+        if atom != Sym("xi") and not (isinstance(atom, Jet) and atom.var == "w" and atom.j == 0):
+            raise ConfigError(f"reference point fixes only xi and w[k,0], not {atom}")
         try:
             values[atom] = Fraction(value_text)
         except (ValueError, ZeroDivisionError) as exc:

@@ -247,7 +247,7 @@ def _integrate_by_parts(
     is the characteristic of any reduced current in either frame.  The
     remainder is exact only where D_b never makes a principal jet, so that
     the restricted derivative is the total one: canonical light-cone and
-    reduced space-time currents.  ``_checked_remainder`` asserts this.
+    reduced space-time currents.  ``characteristic_with_remainder`` asserts this.
     """
     frame = current.frame
     equation = equation_expression(frame)
@@ -276,21 +276,6 @@ def _integrate_by_parts(
     return (parts[0], parts[1]), rest
 
 
-def _checked_remainder(current: Current) -> tuple[Expr, Current]:
-    """Multiplier and remainder of a reduced conserved current; the divergence
-    identity is asserted exactly before returning."""
-    parts, remainder = _integrate_by_parts(current, with_remainder=True)
-    multiplier = parts[0] + parts[1]
-    gap = (
-        divergence(current)
-        - multiplier * equation_expression(current.frame)
-        - divergence(remainder)
-    )
-    if not is_zero(gap):
-        raise AssertionError(f"{current.frame} divergence identity failed to close")
-    return multiplier, remainder
-
-
 def characteristic(current: Current, *, samples: int = 8, seed: int = 42) -> Characteristic:
     """Characteristic of a conserved current, in the current's own frame.
 
@@ -311,19 +296,26 @@ def characteristic_canonical(current: CanonicalCurrent) -> Characteristic:
     return characteristic(current)
 
 
-def characteristic_with_remainder(
-    current: CanonicalCurrent,
-) -> tuple[Characteristic, Current]:
+def characteristic_with_remainder(current: Current) -> tuple[Characteristic, Current]:
     """Characteristic plus the exact integration-by-parts remainder.
 
-    Returns (lambda, (F0, G0)) with the full-jet-space identity
-    D_xi F + D_eta G == lambda * w[1,1] + D_xi F0 + D_eta G0,
-    where F0 and G0 vanish on solutions (every term carries a mixed jet).
-    The identity is asserted exactly before returning.
+    Takes a CanonicalCurrent, or a conserved space-time current, which is
+    reduced first.  Returns (lambda, R) with the full-jet-space identity
+    D1 F + D2 G == lambda * E + D1 R.first + D2 R.second, E the equation's
+    left-hand side, where every term of R vanishes on solutions.  The
+    identity is asserted exactly before returning.
     """
-    _require_canonical(current)
-    multiplier, remainder = _checked_remainder(current)
-    return Characteristic(LIGHTCONE, multiplier), remainder
+    if current.frame is SPACETIME:
+        _require_conserved(current)
+        current = current.reduced()
+    else:
+        _require_canonical(current)
+    parts, remainder = _integrate_by_parts(current, with_remainder=True)
+    multiplier = parts[0] + parts[1]
+    equation = equation_expression(current.frame)
+    if not is_zero(divergence(current) - multiplier * equation - divergence(remainder)):
+        raise AssertionError(f"{current.frame} divergence identity failed to close")
+    return Characteristic(current.frame, multiplier), remainder
 
 
 def is_trivial(current: Current, *, samples: int = 8, seed: int = 42) -> bool:
@@ -337,7 +329,8 @@ def is_trivial(current: Current, *, samples: int = 8, seed: int = 42) -> bool:
 def _invert_restricted(target: Expr, axis: int) -> Expr:
     """Solve D(result) == target for the restricted derivative on one side.
 
-    axis 1 inverts D_eta on polynomials in (eta, w[0,1], w[0,2], ...);
+    axis 1 inverts D_eta on functions of (eta, w[0,1], w[0,2], ...) whose
+    one-variable integrals ``integrate_univar`` takes;
     axis 0 mirrors this for xi.  Works by stripping the top derivative:
     an exact derivative is linear in its highest jet, and the cofactor is
     the partial of the potential with respect to the next jet down.
@@ -355,10 +348,6 @@ def _invert_restricted(target: Expr, axis: int) -> Expr:
     def level(a: Jet) -> int:
         return a.j if axis == 1 else a.i
 
-    if target.fn_atoms():
-        raise UnsupportedIntegrandError(
-            "triviality witnesses are computed for polynomial components only"
-        )
     steps = []  # the potential is their sum
     remaining = target
     for _ in range(200):
@@ -430,17 +419,14 @@ def is_characteristic(
 
 
 def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
-    """Exact divergence identity data for a reduced space-time current.
-
-    For conserved reduced (T, X) returns (mu, X0) with the full-jet-space
-    identity D_t T + D_x X == mu * (u[2,0] - u[0,2]) + D_x X0, where every
-    term of X0 vanishes on solutions.  Used by the numeric identity check.
+    """The (mu, X0) view of ``characteristic_with_remainder`` on a conserved
+    space-time current (T, X): D_t T + D_x X == mu * (u[2,0] - u[0,2]) + D_x X0
+    in the full jet space.  Used by the numeric identity check.
     """
     if current.frame is not SPACETIME:
         raise ValueError("spacetime_remainder expects a space-time current")
-    _require_conserved(current)
-    mu, remainder = _checked_remainder(current.reduced())
-    return mu, remainder.second
+    lam, remainder = characteristic_with_remainder(current)
+    return lam.multiplier, remainder.second
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +443,17 @@ def current_to_json(current: Current) -> str:
     return json.dumps(doc)
 
 
-def _document(text: str, *fields: str) -> dict:
+def _document(text: str, kind: str, *fields: str) -> dict:
     """The JSON object in text; each named field must hold a string.
 
-    A missing field raises KeyError, any other wrong shape ValueError.
+    A missing field raises KeyError, any other wrong shape ValueError, as
+    does a "kind" that names another document (a missing one is accepted).
     """
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, found {type(doc).__name__}")
+    if doc.get("kind", kind) != kind:
+        raise ValueError(f"expected a {kind!r} document, not {doc['kind']!r}")
     for name in fields:
         if not isinstance(doc[name], str):
             raise ValueError(f"field {name!r} must be a string, not {type(doc[name]).__name__}")
@@ -472,7 +461,7 @@ def _document(text: str, *fields: str) -> dict:
 
 
 def current_from_json(text: str) -> Current:
-    doc = _document(text, "frame", "first", "second")
+    doc = _document(text, "current", "frame", "first", "second")
     frame = Frame.from_name(doc["frame"])
     return Current(frame, parse(doc["first"]), parse(doc["second"]))
 
@@ -487,7 +476,7 @@ def characteristic_to_json(characteristic: Characteristic) -> str:
 
 
 def characteristic_from_json(text: str) -> Characteristic:
-    doc = _document(text, "frame", "multiplier")
+    doc = _document(text, "characteristic", "frame", "multiplier")
     frame = Frame.from_name(doc["frame"])
     return Characteristic(frame, parse(doc["multiplier"]))
 

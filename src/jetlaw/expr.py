@@ -909,9 +909,9 @@ def _tokenize(text: str):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit() admits superscripts, which int() rejects
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos].isdecimal():
                 pos += 1
             tokens.append(("int", text[start:pos], start))
             continue

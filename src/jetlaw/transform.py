@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .expr import Expr, Jet, Sym, as_expr, substitute
-from .jets import LIGHTCONE, SPACETIME, check_frame, reduce_to_solutions
+from .jets import LIGHTCONE, SPACETIME, Frame, check_frame, reduce_to_solutions
 from .conservation import Characteristic, Current
 
 HALF = Fraction(1, 2)
@@ -63,71 +63,57 @@ def _lightcone_image(i: int, j: int) -> Expr:
     return f - g if i else f + g
 
 
-_SYMBOL_TO_SPACETIME = {
-    Sym("xi"): as_expr(Sym("x")) + as_expr(Sym("t")),
-    Sym("eta"): as_expr(Sym("x")) - as_expr(Sym("t")),
+_T, _X, _XI, _ETA = (as_expr(Sym(name)) for name in ("t", "x", "xi", "eta"))
+
+# source frame -> (image of a jet w[i,j] or u[i,j], images of the coordinates)
+_IMAGES = {
+    LIGHTCONE: (_spacetime_image, {Sym("xi"): _X + _T, Sym("eta"): _X - _T}),
+    SPACETIME: (
+        _lightcone_image, {Sym("t"): HALF * (_XI - _ETA), Sym("x"): HALF * (_XI + _ETA)}
+    ),
 }
 
-_SYMBOL_TO_LIGHTCONE = {
-    Sym("t"): HALF * (as_expr(Sym("xi")) - as_expr(Sym("eta"))),
-    Sym("x"): HALF * (as_expr(Sym("xi")) + as_expr(Sym("eta"))),
-}
+
+def _pull(e: Expr, source: Frame) -> Expr:
+    """Pull an expression in the source frame back to reduced jets of the other."""
+    check_frame(e, source)
+    e = reduce_to_solutions(e, source)
+    jet_image, coordinates = _IMAGES[source]
+    jets = {a: jet_image(a.i, a.j) for a in e.base_atoms() if isinstance(a, Jet)}
+    return substitute(e, {**coordinates, **jets})
 
 
 def substitute_to_spacetime(e: Expr) -> Expr:
     """Pull a light-cone expression back to reduced space-time jets."""
-    check_frame(e, LIGHTCONE)
-    e = reduce_to_solutions(e, LIGHTCONE)
-    bindings: dict = dict(_SYMBOL_TO_SPACETIME)
-    for a in e.base_atoms():
-        if isinstance(a, Jet):
-            bindings[a] = _spacetime_image(a.i, a.j)
-    return substitute(e, bindings)
+    return _pull(e, LIGHTCONE)
 
 
 def substitute_to_lightcone(e: Expr) -> Expr:
     """Pull a space-time expression back to reduced light-cone jets."""
-    check_frame(e, SPACETIME)
-    e = reduce_to_solutions(e, SPACETIME)
-    bindings: dict = dict(_SYMBOL_TO_LIGHTCONE)
-    for a in e.base_atoms():
-        if isinstance(a, Jet):
-            bindings[a] = _lightcone_image(a.i, a.j)
-    return substitute(e, bindings)
+    return _pull(e, SPACETIME)
 
 
 def current_to_spacetime(current: Current) -> Current:
     if current.frame is not LIGHTCONE:
         raise ValueError("expected a light-cone current")
-    # substitute_to_spacetime reduces its input, and reduction is linear
-    return Current(
-        SPACETIME,
-        substitute_to_spacetime(current.first - current.second),
-        substitute_to_spacetime(current.first + current.second),
-    )
+    f, g = _pull(current.first, LIGHTCONE), _pull(current.second, LIGHTCONE)
+    return Current(SPACETIME, f - g, f + g)
 
 
 def current_to_lightcone(current: Current) -> Current:
     if current.frame is not SPACETIME:
         raise ValueError("expected a space-time current")
-    return Current(
-        LIGHTCONE,
-        substitute_to_lightcone(HALF * (current.first + current.second)),
-        substitute_to_lightcone(HALF * (current.second - current.first)),
-    )
+    t, x = _pull(current.first, SPACETIME), _pull(current.second, SPACETIME)
+    return Current(LIGHTCONE, HALF * (t + x), HALF * (x - t))
 
 
 def characteristic_to_spacetime(characteristic: Characteristic) -> Characteristic:
     if characteristic.frame is not LIGHTCONE:
         raise ValueError("expected a light-cone characteristic")
-    return Characteristic(
-        SPACETIME, -HALF * substitute_to_spacetime(characteristic.multiplier)
-    )
+    return Characteristic(SPACETIME, -HALF * _pull(characteristic.multiplier, LIGHTCONE))
 
 
 def characteristic_to_lightcone(characteristic: Characteristic) -> Characteristic:
     if characteristic.frame is not SPACETIME:
         raise ValueError("expected a space-time characteristic")
-    return Characteristic(
-        LIGHTCONE, -2 * substitute_to_lightcone(characteristic.multiplier)
-    )
+    return Characteristic(LIGHTCONE, -2 * _pull(characteristic.multiplier, SPACETIME))

@@ -189,6 +189,21 @@ def test_doc_that_is_not_an_object_exits_2(capsys, monkeypatch):
     assert err == "error: bad current document: expected a JSON object, found list\n"
 
 
+def test_doc_of_another_kind_exits_2(capsys, monkeypatch):
+    code, out, _ = run(capsys, "characteristic", "--format", "json",
+                       "--first", "w[0,1]^2", "--second", "-w[1,0]^2")
+    assert code == 0
+    code, out, err = _stdin_doc(capsys, monkeypatch, "verify", out)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad current document: expected a 'current' document, not 'characteristic'\n"
+    )
+    doc = json.dumps({"kind": "current", "frame": "lightcone", "multiplier": "1"})
+    code, out, err = _stdin_doc(capsys, monkeypatch, "is-characteristic", doc)
+    assert (code, out) == (2, "")
+    assert "'characteristic'" in err and "'current'" in err
+
+
 def test_doc_with_a_non_string_component_exits_2(capsys, monkeypatch):
     doc = json.dumps({"frame": "lightcone", "first": 3, "second": "0"})
     code, out, err = _stdin_doc(capsys, monkeypatch, "verify", doc)
@@ -511,6 +526,27 @@ def test_reference_point_flag_changes_normalization(capsys):
     code, _, err = run(capsys, *args, "--ref-point", "w[1,0]=oops")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "point,atom",
+    [("eta=5", "eta"), ("t=1", "t"), ("w[0,1]=3", "w[0,1]"), ("w[1,1]=7", "w[1,1]"),
+     ("u[1,0]=2", "u[1,0]"), ("xi=1,w[2,0]=1,w[0,2]=1", "w[0,2]")],
+)
+def test_reference_point_rejects_atoms_normalization_never_reads(capsys, point, atom):
+    code, out, err = run(
+        capsys, "normalize", "--first", "w[0,1]", "--second", "-w[1,0]", "--ref-point", point
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert err.rstrip().endswith(f"not {atom}")
+
+
+def test_witness_integrates_a_function_atom_at_a_reference_point(capsys):
+    args = ["--first", "w[0,2]*exp(w[1,0])", "--second", "-w[0,1]*w[2,0]*exp(w[1,0])"]
+    code, out, _ = run(capsys, "witness", *args, "--ref-point", "w[1,0]=1")
+    assert code == 0
+    assert out.splitlines() == ["f-part: w[0,1]*exp(1)", "g-part: 0", "constant: 0"]
 
 
 def test_unknown_subcommand_raises_system_exit(capsys):

@@ -320,8 +320,15 @@ def test_trivial_witness_requires_a_canonical_current():
         trivial_witness(cur)
 
 
+def test_trivial_witness_inverts_transcendental_components():
+    witness = trivial_witness(canonical("w[0,2]*exp(w[0,1])", "0"))
+    assert witness.f_part == parse("exp(w[0,1]) - 1")
+    assert witness.g_part == 0 and witness.constant == 0
+
+
 def test_trivial_witness_rejects_transcendental_components():
-    cur = canonical("w[0,2]*exp(w[0,1])", "0")  # = D_eta exp(w[0,1]), still trivial
+    # = D_eta of the antiderivative of exp(w[0,1]^2), which integrate_univar lacks
+    cur = canonical("w[0,2]*exp(w[0,1]^2)", "0")
     assert is_trivial(cur)
     with pytest.raises(UnsupportedIntegrandError):
         trivial_witness(cur)
@@ -392,6 +399,21 @@ def test_characteristic_and_is_trivial_work_in_both_frames():
             characteristic(broken)
         with pytest.raises(NotConservedError):
             is_trivial(broken)
+
+
+def test_remainder_of_a_spacetime_current():
+    # the energy current, given unreduced: u[2,0] stands for u[0,2] on solutions
+    cur = Current(SPACETIME, parse("1/2*u[1,0]^2 + 1/2*u[0,1]^2 + u[2,0] - u[0,2]"),
+                  parse("-u[1,0]*u[0,1]"))
+    lam, remainder = characteristic_with_remainder(cur)
+    assert lam == Characteristic(SPACETIME, parse("u[1,0]"))
+    assert remainder.first == 0
+    assert spacetime_remainder(cur) == (lam.multiplier, remainder.second)
+    gap = (divergence(cur.reduced()) - lam.multiplier * equation_expression(SPACETIME)
+           - divergence(remainder))
+    assert gap == 0
+    with pytest.raises(NotConservedError):
+        characteristic_with_remainder(Current(SPACETIME, parse("u[1,0]"), parse("0")))
 
 
 def test_spacetime_remainder_rejects_bad_input():

@@ -94,6 +94,14 @@ def test_parse_errors(text):
     assert "position" in str(err.value)
 
 
+@pytest.mark.parametrize("text,position", [("²", 0), ("w[²,0]", 2), ("2^²", 2)])
+def test_non_decimal_digits_are_parse_errors(text, position):
+    # str.isdigit() accepts superscripts, which int() rejects
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_reserved_names_cannot_be_jets():
     with pytest.raises(ParseError):
         parse("t[1,0]")
