@@ -20,17 +20,26 @@ denominator.  :class:`fractions.Fraction` appears only at the boundary:
 high-precision zero test.
 
 Canonical form is maintained by construction: arithmetic merges monomials,
-drops zero coefficients, fuses products of exponentials (``exp(a)*exp(b)``
-becomes ``exp(a+b)``), and orders terms by a graded lexicographic rule so
-printing is deterministic and ``parse(str(e)) == e`` holds structurally.
+drops zero coefficients and fuses products of exponentials (``exp(a)*exp(b)``
+becomes ``exp(a+b)``).  The terms of an Expr are unordered inside: they are
+stored in the order they were collected in, which depends on how the value
+was built, and ``==`` and ``hash`` ignore that order.  Canonical order, a
+graded lexicographic rule, is a view made on first use and cached.
+Printing reads it, so printing is deterministic and ``parse(str(e)) == e``
+holds; so do the public ``terms``, float and high-precision evaluation (a
+float sum adds its terms in one order, however the value was built), the
+sign rule of ``fn_apply`` and the error messages of ``integrate_univar``.
 
 Sums are accumulated, never re-added: code that adds up many parts collects
 their monomials in one coefficient dict and builds a single Expr at the end
 (``Expr._sum``, or ``Expr._build`` on the dict it filled).  Folding
-``out = out + part`` over n parts re-sorts the growing result every time
-and costs O(n^2) in the term count.  Canonical form is unique and the
-coefficients are exact, so the order of accumulation never shows in a
-result.
+``out = out + part`` over n parts copies the growing result every time and
+costs O(n^2) in the term count.  Arithmetic never sorts terms: it merges
+them in a dict and orders them only for output, as sparse polynomial
+arithmetic has done since Johnson (SIGSAM Bull. 1974) and Monagan & Pearce
+(CASC 2007).  Canonical form is unique and the coefficients are exact, so
+the order of accumulation never shows in a value, only in how its terms
+are stored.
 
 Atoms are interned: ``Sym``, ``Jet`` and ``Fn`` make one instance per
 value, so ``==`` and ``hash`` are the identity defaults of ``object`` and
@@ -47,6 +56,7 @@ from __future__ import annotations
 
 import math
 import random
+import string
 import threading
 import weakref
 from dataclasses import dataclass
@@ -196,6 +206,8 @@ Mono = tuple
 
 
 def _mono_key(mono: Mono):
+    """The canonical-order key of a monomial: its degree, then its atoms
+    from the last, each with its exponent."""
     return (sum([p for _, p in mono]), tuple([(a.sort_key, p) for a, p in reversed(mono)]))
 
 
@@ -310,20 +322,22 @@ def _build_grouped(groups: dict, den: int = 1) -> "Expr":
 class Expr:
     """Canonical sum of monomials with rational coefficients. Immutable.
 
-    ``_terms`` holds (monomial, integer numerator) pairs, sorted, with no
-    zero numerator; every coefficient is its numerator over the one
-    positive ``_den``.  The pair is reduced, ``gcd(_den, *numerators) ==
-    1``, and zero is ``Expr(())`` with ``_den == 1``, so each value has one
-    representation and ``==`` and ``hash`` compare ``(_terms, _den)``.
+    ``_terms`` holds (monomial, integer numerator) pairs, one per distinct
+    monomial, with no zero numerator, in the order they were collected in;
+    every coefficient is its numerator over the one positive ``_den``.  The
+    pair is reduced, ``gcd(_den, *numerators) == 1``, and zero is
+    ``Expr(())`` with ``_den == 1``, so each value has one set of terms and
+    ``==`` and ``hash`` compare that set and ``_den``.  ``_sorted_terms()``
+    is the same pairs in canonical order, which printing and evaluation read.
     """
 
-    # _hash, _atoms and _fraction_terms are filled on the first hash(),
-    # base_atoms() and terms call
-    __slots__ = ("_terms", "_den", "_hash", "_atoms", "_fraction_terms")
+    # _hash, _atoms, _sorted and _fraction_terms are filled on the first
+    # hash(), base_atoms(), _sorted_terms() and terms call
+    __slots__ = ("_terms", "_den", "_hash", "_atoms", "_sorted", "_fraction_terms")
 
     def __init__(self, terms: tuple, den: int = 1):
-        # internal: terms must already be canonical (sorted, nonzero
-        # numerators, reduced against den)
+        # internal: terms must already be canonical (distinct monomials of
+        # sorted atoms, nonzero numerators, reduced against den), in any order
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_den", den)
 
@@ -350,7 +364,6 @@ class Expr:
             else:
                 items = [(m, c // g) for m, c in items]
                 den //= g
-        items.sort(key=lambda mc: _mono_key(mc[0]), reverse=True)
         return Expr(tuple(items), den)
 
     @staticmethod
@@ -364,7 +377,7 @@ class Expr:
 
     @staticmethod
     def _sum(parts) -> "Expr":
-        """The sum of an iterable of Exprs, in one dict and one sort."""
+        """The sum of an iterable of Exprs, collected in one dict."""
         groups: dict = {}  # denominator -> the numerators of parts over it
         for part in parts:
             coeffs = _group(groups, part._den)
@@ -395,6 +408,19 @@ class Expr:
 
     # -- inspection --------------------------------------------------------
 
+    def _sorted_terms(self) -> tuple:
+        """The (monomial, numerator) pairs in canonical order: by degree, then
+        by atoms from the last, largest first.  Made on first use."""
+        try:
+            return self._sorted
+        except AttributeError:
+            pass
+        terms = self._terms
+        if len(terms) > 1:
+            terms = tuple(sorted(terms, key=lambda mc: _mono_key(mc[0]), reverse=True))
+        object.__setattr__(self, "_sorted", terms)
+        return terms
+
     @property
     def terms(self) -> tuple:
         """The (monomial, Fraction coefficient) pairs, in canonical order."""
@@ -403,7 +429,7 @@ class Expr:
         except AttributeError:
             pass
         den = self._den
-        value = tuple([(m, Fraction(c, den)) for m, c in self._terms])
+        value = tuple([(m, Fraction(c, den)) for m, c in self._sorted_terms()])
         object.__setattr__(self, "_fraction_terms", value)
         return value
 
@@ -475,7 +501,7 @@ class Expr:
     def __mul__(self, other) -> "Expr":
         other = as_expr(other)
         if len(self._terms) == 1 == len(other._terms):
-            # one monomial times one: nothing to collect or sort
+            # one monomial times one: nothing to collect
             (m1, c1), (m2, c2) = self._terms[0], other._terms[0]
             return Expr._monomial(_mono_mul(m1, m2), c1 * c2, self._den * other._den)
         return Expr._build(_mul_into({}, self._terms, other._terms), self._den * other._den)
@@ -531,14 +557,18 @@ class Expr:
             other = Expr.from_rational(other)
         if not isinstance(other, Expr):
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        mine, theirs = self._terms, other._terms
+        if self._den != other._den or len(mine) != len(theirs):
+            return False
+        # equal values may have collected their terms in different orders
+        return mine == theirs or dict(mine) == dict(theirs)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
             pass
-        value = hash((self._terms, self._den))
+        value = hash((frozenset(self._terms), self._den))
         object.__setattr__(self, "_hash", value)
         return value
 
@@ -549,7 +579,7 @@ class Expr:
             return "0"
         chunks = []
         den = self._den
-        for idx, (mono, c) in enumerate(self._terms):
+        for idx, (mono, c) in enumerate(self._sorted_terms()):
             body = "*".join(
                 str(a) + (f"^{p}" if p > 1 else "") for a, p in mono
             )
@@ -588,7 +618,8 @@ def fn_apply(head: str, arg) -> Expr:
 
     exp(0) -> 1, sin(0) -> 0, cos(0) -> 1, ln(1) -> 0; sin/cos arguments
     have their overall sign normalized (sin is odd, cos is even) so the
-    canonical form does not depend on how the argument was written.
+    canonical form does not depend on how the argument was written.  ln of
+    a rational constant <= 0 has no real value and raises ValueError.
     """
     arg = as_expr(arg)
     if head == "exp":
@@ -596,13 +627,16 @@ def fn_apply(head: str, arg) -> Expr:
             return _ONE
         return Expr.from_atom(Fn("exp", arg))
     if head == "ln":
-        if arg == _ONE:
+        q = arg.as_rational()
+        if q is not None and q <= 0:
+            raise ValueError(f"ln of the non-positive constant {q}")
+        if q == 1:
             return _ZERO
         return Expr.from_atom(Fn("ln", arg))
     if head in ("sin", "cos"):
         if arg.is_zero_literal:
             return _ZERO if head == "sin" else _ONE
-        if arg._terms[0][1] < 0:  # the sign of the leading coefficient
+        if arg._sorted_terms()[0][1] < 0:  # the sign of the leading coefficient
             flipped = Expr.from_atom(Fn(head, -arg))
             return -flipped if head == "sin" else flipped
         return Expr.from_atom(Fn(head, arg))
@@ -626,7 +660,7 @@ def diff_partial(e: Expr, v) -> Expr:
     return _derive(e, lambda a: _ONE if a == v else _ZERO)
 
 
-def _derive(e: Expr, base_derivative, memo: dict | None = None) -> Expr:
+def _derive(e: Expr, base_derivative, memo: dict | None = None, terms=None) -> Expr:
     """Apply the derivation that maps each Sym/Jet atom a to base_derivative(a).
 
     Function atoms follow the chain rule through their arguments, and each
@@ -637,22 +671,28 @@ def _derive(e: Expr, base_derivative, memo: dict | None = None) -> Expr:
     if memo is None:
         memo = {}
     groups: dict = {}  # denominator of the atom derivative -> numerators over it
-    for mono, c in e._terms:
-        for idx, (a, p) in enumerate(mono):
-            da = memo.get(a)
-            if da is None:
-                if isinstance(a, Fn):
-                    da = _chain_rule(a, _derive(a.arg, base_derivative, memo))
+    try:
+        for mono, c in e._terms if terms is None else terms:
+            for idx, (a, p) in enumerate(mono):
+                da = memo.get(a)
+                if da is None:
+                    if isinstance(a, Fn):
+                        da = _chain_rule(a, _derive(a.arg, base_derivative, memo))
+                    else:
+                        da = base_derivative(a)
+                    memo[a] = da
+                if not da._terms:
+                    continue
+                if p > 1:
+                    rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
                 else:
-                    da = base_derivative(a)
-                memo[a] = da
-            if not da._terms:
-                continue
-            if p > 1:
-                rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
-            else:
-                rest = mono[:idx] + mono[idx + 1 :]
-            _mul_into(_group(groups, da._den), ((rest, c * p),), da._terms)
+                    rest = mono[:idx] + mono[idx + 1 :]
+                _mul_into(_group(groups, da._den), ((rest, c * p),), da._terms)
+    except UnsupportedExpressionError:
+        if terms is not None:
+            raise
+        # again in printed order, so the error names the first factor there
+        return _derive(e, base_derivative, memo, e._sorted_terms())
     return _build_grouped(groups, e._den)
 
 
@@ -742,7 +782,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
     lower = as_expr(lower)
     v_expr = Expr.from_atom(v)
     parts = []
-    for mono, c in e._terms:
+    for mono, c in e._sorted_terms():  # so an error names the first term in printed order
         k = 0
         trans = None
         rest = []
@@ -862,7 +902,7 @@ def _eval_mp(e: Expr, env: Mapping):
     mpmath, funcs = _mp()
     total = mpmath.mpf(0)
     scale = mpmath.mpf(0)
-    for mono, c in e._terms:
+    for mono, c in e._sorted_terms():
         term = _mp_number(Fraction(c, e._den))
         for a, p in mono:
             if isinstance(a, Fn):
@@ -882,7 +922,7 @@ def evaluate_float(e: Expr, env: Mapping) -> float:
     """Double-precision evaluation; env maps every Sym/Jet atom to a float."""
     total = 0.0
     den = e._den
-    for mono, c in e._terms:
+    for mono, c in e._sorted_terms():  # one summation order, however e was built
         term = c / den  # int true division rounds correctly, as float(Fraction) does
         for a, p in mono:
             if isinstance(a, Fn):
@@ -898,6 +938,9 @@ def evaluate_float(e: Expr, env: Mapping) -> float:
 
 
 _PUNCT = set("+-*/^()[],")
+# names are ASCII: str.isalnum() would glue a superscript onto one, as in w²
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | frozenset(string.digits)
 
 
 def _tokenize(text: str):
@@ -915,9 +958,9 @@ def _tokenize(text: str):
                 pos += 1
             tokens.append(("int", text[start:pos], start))
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+            while pos < n and text[pos] in _NAME_CHARS:
                 pos += 1
             tokens.append(("name", text[start:pos], start))
             continue
@@ -1022,7 +1065,10 @@ class _Parser:
                 self.expect("(")
                 arg = self.expression()
                 self.expect(")")
-                return fn_apply(text, arg)
+                try:
+                    return fn_apply(text, arg)
+                except ValueError as exc:  # ln of a constant <= 0
+                    raise ParseError(str(exc), at) from exc
             if self.peek()[0] == "[":
                 self.next()
                 i = self.signed_int()

@@ -3,6 +3,8 @@
 import argparse
 import io
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -39,6 +41,38 @@ def test_parse_json_document(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc == {"kind": "expression", "text": "t^2 + t"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--expr", "ln(-2)"],
+    ["verify", "--first", "ln(0)*w[0,1]", "--second", "0"],
+])
+def test_ln_of_a_non_positive_constant_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "non-positive constant" in err
+
+
+def test_superscript_after_a_name_exits_2_with_position(capsys):
+    code, out, err = run(capsys, "verify", "--first", "w²", "--second", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: in --first") and err.count("\n") == 1, err
+    assert "position 1" in err
+
+
+# Outputs recorded from the kernel that sorted the terms of every Expr it
+# built: they pin the printed canonical order, however a value was built.
+PINNED = json.loads(pathlib.Path(__file__).with_name("pinned_output.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("case", PINNED, ids=[case["name"] for case in PINNED])
+def test_printed_output_is_pinned(capsys, monkeypatch, case):
+    for name in [n for n in os.environ if n.startswith("JETLAW_")]:
+        monkeypatch.delenv(name)
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], "")
+    assert out == case["stdout"]
 
 
 # --- verify ---------------------------------------------------------------------

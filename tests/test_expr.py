@@ -102,6 +102,33 @@ def test_non_decimal_digits_are_parse_errors(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text,position", [("w²", 1), ("xi²", 2), ("w¹[0,1]", 1)])
+def test_a_name_ends_before_a_superscript(text, position):
+    # names are ASCII letters, digits and _; str.isalnum() also takes superscripts
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+def test_ascii_names_with_digits_and_underscores_parse():
+    e = parse("w_2[0,1] + v2")
+    assert e.jets() == {Jet("w_2", 0, 1), Jet("v2", 0, 0)}
+
+
+@pytest.mark.parametrize("text", ["ln(-2)", "ln(0)", "ln(1 - 3/2)", "w[0,1]*ln(t - t)"])
+def test_ln_of_a_non_positive_constant_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "non-positive constant" in str(err.value)
+
+
+def test_ln_of_a_positive_constant():
+    assert parse("ln(1)") == 0
+    assert str(parse("ln(2)")) == "ln(2)"
+    with pytest.raises(ValueError):
+        fn_apply("ln", -1)
+
+
 def test_reserved_names_cannot_be_jets():
     with pytest.raises(ParseError):
         parse("t[1,0]")

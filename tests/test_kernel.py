@@ -10,6 +10,8 @@ monomial product is checked against a dict-and-sort reference.
 Coefficients are integer numerators over one denominator per Expr: the
 arithmetic is checked against an all-Fraction reference, the layout
 against its invariant, and the calculus for calls into ``fractions``.
+Terms are stored in the order they were collected in: one value built in
+shuffled orders must compare, hash, print and evaluate alike.
 """
 
 import copy
@@ -191,6 +193,19 @@ def test_total_derivative_rejects_ln_of_a_jet(text):
     for axis in (0, 1):
         with pytest.raises(UnsupportedExpressionError):
             total_derivative(parse(text), LIGHTCONE, axis)
+
+
+@pytest.mark.parametrize("text,named", [
+    ("ln(w[0,1]) + ln(w[0,2])", "ln(w[0,2])"),
+    ("ln(w[0,2]) + ln(w[0,1])", "ln(w[0,2])"),
+    ("ln(w[0,3]) + exp(ln(w[0,2]) + ln(w[0,1]))", "ln(w[0,3])"),
+    ("exp(ln(w[0,1]) + ln(w[0,2]))", "ln(w[0,2])"),
+])
+def test_the_ln_refused_is_the_first_in_printed_order(text, named):
+    # however the terms were collected
+    with pytest.raises(UnsupportedExpressionError) as err:
+        total_derivative(parse(text), LIGHTCONE, 0)
+    assert str(err.value).startswith(f"derivative of {named} ")
 
 
 def test_total_derivative_of_ln_of_the_other_symbol_is_zero():
@@ -639,3 +654,49 @@ def test_float_evaluation_is_the_per_term_sum_of_fraction_floats(a, values):
                 term *= float(env[atom]) ** p
         expected += term
     assert evaluate_float(e, env).hex() == expected.hex()
+
+
+def test_terms_are_stored_in_the_order_they_were_collected_in():
+    xi, w = as_expr(Sym("xi")), as_expr(Jet("w", 0, 1))
+    one, other = xi + w, w + xi
+    assert one._terms != other._terms
+    assert one == other and hash(one) == hash(other)
+    assert str(one) == str(other) == "w[0,1] + xi"
+    assert one.terms == other.terms
+
+
+def _fn_of(e: Expr):
+    """The function atom of fn_apply's one-term result; None for a constant."""
+    if not e._terms:
+        return None
+    ((mono, _c),) = e._terms
+    return mono[0][0] if mono else None
+
+
+@given(st.lists(polynomials(exp_factor=True, max_terms=2), min_size=2, max_size=6),
+       st.randoms(use_true_random=False),
+       st.lists(st.floats(-3, 3), min_size=len(EVALUATED_ATOMS), max_size=len(EVALUATED_ATOMS)))
+@settings(max_examples=150, deadline=None)
+def test_a_value_does_not_depend_on_the_order_it_was_built_in(drawn, rnd, values):
+    parts = [e for e, _ in drawn]
+    half = len(parts) // 2
+    shuffled, first = parts[:], parts[:half]
+    rnd.shuffle(shuffled)
+    rnd.shuffle(first)
+    folded = Expr.zero()
+    for part in shuffled:
+        folded = part + folded
+    # (sum of parts) * (sum of the first half), built four ways
+    value = Expr._sum(parts) * Expr._sum(parts[:half])
+    builds = [
+        Expr._sum(first) * Expr._sum(shuffled),
+        Expr._sum(first[::-1]) * folded,
+        Expr._sum([q * p for p in shuffled for q in first]),
+    ]
+    env = dict(zip(EVALUATED_ATOMS, values))
+    for other in builds:
+        assert other == value and hash(other) == hash(value)
+        assert str(other) == str(value)
+        assert evaluate_float(other, env).hex() == evaluate_float(value, env).hex()
+        for head in ("exp", "sin"):
+            assert _fn_of(fn_apply(head, other)) is _fn_of(fn_apply(head, value))
