@@ -619,7 +619,8 @@ def fn_apply(head: str, arg) -> Expr:
     exp(0) -> 1, sin(0) -> 0, cos(0) -> 1, ln(1) -> 0; sin/cos arguments
     have their overall sign normalized (sin is odd, cos is even) so the
     canonical form does not depend on how the argument was written.  ln of
-    a rational constant <= 0 has no real value and raises ValueError.
+    a rational constant <= 0 has no real value and raises
+    UnsupportedExpressionError.
     """
     arg = as_expr(arg)
     if head == "exp":
@@ -629,7 +630,7 @@ def fn_apply(head: str, arg) -> Expr:
     if head == "ln":
         q = arg.as_rational()
         if q is not None and q <= 0:
-            raise ValueError(f"ln of the non-positive constant {q}")
+            raise UnsupportedExpressionError(f"ln of the non-positive constant {q}")
         if q == 1:
             return _ZERO
         return Expr.from_atom(Fn("ln", arg))
@@ -660,39 +661,42 @@ def diff_partial(e: Expr, v) -> Expr:
     return _derive(e, lambda a: _ONE if a == v else _ZERO)
 
 
-def _derive(e: Expr, base_derivative, memo: dict | None = None, terms=None) -> Expr:
+def _derive(e: Expr, base_derivative) -> Expr:
     """Apply the derivation that maps each Sym/Jet atom a to base_derivative(a).
 
-    Function atoms follow the chain rule through their arguments, and each
-    atom's derivative is computed once per call (memo, shared with the
-    recursion into arguments).  ``diff_partial`` and
-    ``jets.total_derivative`` are this one pass with different atom maps.
+    ``diff_partial`` and ``jets.total_derivative`` are this one pass with
+    different atom maps.  Terms are visited in the order they were built;
+    only when a factor cannot be differentiated is the pass made once more
+    in printed order, so the error names the first such factor there.
     """
-    if memo is None:
-        memo = {}
-    groups: dict = {}  # denominator of the atom derivative -> numerators over it
+    memo: dict = {}
     try:
-        for mono, c in e._terms if terms is None else terms:
-            for idx, (a, p) in enumerate(mono):
-                da = memo.get(a)
-                if da is None:
-                    if isinstance(a, Fn):
-                        da = _chain_rule(a, _derive(a.arg, base_derivative, memo))
-                    else:
-                        da = base_derivative(a)
-                    memo[a] = da
-                if not da._terms:
-                    continue
-                if p > 1:
-                    rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
-                else:
-                    rest = mono[:idx] + mono[idx + 1 :]
-                _mul_into(_group(groups, da._den), ((rest, c * p),), da._terms)
+        return _derive_pass(e, base_derivative, memo, ordered=False)
     except UnsupportedExpressionError:
-        if terms is not None:
-            raise
-        # again in printed order, so the error names the first factor there
-        return _derive(e, base_derivative, memo, e._sorted_terms())
+        return _derive_pass(e, base_derivative, memo, ordered=True)
+
+
+def _derive_pass(e: Expr, base_derivative, memo: dict, ordered: bool) -> Expr:
+    """One pass of ``_derive``; function atoms follow the chain rule through
+    their arguments, and each atom's derivative is computed once (memo,
+    shared with the recursion into arguments, which inherits ``ordered``)."""
+    groups: dict = {}  # denominator of the atom derivative -> numerators over it
+    for mono, c in e._sorted_terms() if ordered else e._terms:
+        for idx, (a, p) in enumerate(mono):
+            da = memo.get(a)
+            if da is None:
+                if isinstance(a, Fn):
+                    da = _chain_rule(a, _derive_pass(a.arg, base_derivative, memo, ordered))
+                else:
+                    da = base_derivative(a)
+                memo[a] = da
+            if not da._terms:
+                continue
+            if p > 1:
+                rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
+            else:
+                rest = mono[:idx] + mono[idx + 1 :]
+            _mul_into(_group(groups, da._den), ((rest, c * p),), da._terms)
     return _build_grouped(groups, e._den)
 
 
@@ -737,7 +741,14 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
                 continue
             image = images.get((a, p))
             if image is None:
-                base = fn_apply(a.head, substitute(a.arg, table)) if isinstance(a, Fn) else table[a]
+                if isinstance(a, Fn):
+                    arg = substitute(a.arg, table)
+                    try:
+                        base = fn_apply(a.head, arg)
+                    except UnsupportedExpressionError as exc:  # ln of a constant <= 0
+                        raise UnsupportedExpressionError(f"{a} becomes {exc}") from exc
+                else:
+                    base = table[a]
                 image = images[a, p] = base**p
             factors.append(image._terms)
             den *= image._den

@@ -54,6 +54,12 @@ def test_ln_of_a_non_positive_constant_exits_2(capsys, argv):
     assert "non-positive constant" in err
 
 
+def test_reduction_to_ln_of_a_non_positive_constant_exits_2(capsys):
+    code, out, err = run(capsys, "pullback", "--first", "ln(w[1,1] - 1)*w[0,1]", "--second", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: ln(w[1,1] - 1) becomes ln of the non-positive constant -1\n"
+
+
 def test_superscript_after_a_name_exits_2_with_position(capsys):
     code, out, err = run(capsys, "verify", "--first", "w²", "--second", "0")
     assert (code, out) == (2, "")

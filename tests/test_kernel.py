@@ -208,6 +208,32 @@ def test_the_ln_refused_is_the_first_in_printed_order(text, named):
     assert str(err.value).startswith(f"derivative of {named} ")
 
 
+def test_an_ln_refused_deep_inside_exp_is_found_in_linear_work(monkeypatch):
+    # one pass in build order and one in printed order, not a retry per level
+    depth = 40
+    e = parse("exp(" * depth + "ln(w[0,1]) + ln(w[0,2])" + ")" * depth)
+    passes = []
+    derive_pass = jetlaw.expr._derive_pass
+
+    def counted(*args, **kwargs):
+        passes.append(None)
+        # per pass: the sum, the exp levels and the ln argument; failing
+        # here stops an exponential run at once
+        assert len(passes) <= 2 * (depth + 2)
+        return derive_pass(*args, **kwargs)
+
+    monkeypatch.setattr(jetlaw.expr, "_derive_pass", counted)
+    with pytest.raises(UnsupportedExpressionError) as err:
+        total_derivative(e, LIGHTCONE, 0)
+    assert str(err.value).startswith("derivative of ln(w[0,2]) ")
+
+
+def test_substitution_that_makes_an_ln_of_a_non_positive_constant_names_it():
+    with pytest.raises(UnsupportedExpressionError) as err:
+        substitute(parse("w[0,1]*exp(ln(w[1,1] - 1))"), {Jet("w", 1, 1): 0})
+    assert str(err.value) == "ln(w[1,1] - 1) becomes ln of the non-positive constant -1"
+
+
 def test_total_derivative_of_ln_of_the_other_symbol_is_zero():
     assert total_derivative(parse("ln(eta)"), LIGHTCONE, 0) == Expr.zero()
 
