@@ -8,6 +8,8 @@ witnesses live in the light-cone frame, and exact transforms link the two.
 A floating-point oracle cross-checks conservation on closed-form solutions.
 """
 
+from importlib import import_module as _import_module
+
 from .expr import (
     Expr,
     Fn,
@@ -62,25 +64,45 @@ from .conservation import (
     verify_current,
     witness_to_json,
 )
-from .transform import (
-    characteristic_to_lightcone,
-    characteristic_to_spacetime,
-    current_to_lightcone,
-    current_to_spacetime,
-    substitute_to_lightcone,
-    substitute_to_spacetime,
-)
-from .oracle import (
-    Rectangle,
-    Solution,
-    SolutionFormatError,
-    check_characteristic_numeric,
-    check_conservation,
-    eval_jet,
-    parse_solution,
-)
 from .config import Config, ConfigError
+
+# transform and oracle are loaded on first use (PEP 562): most commands
+# need neither, and a CLI process pays for every module it imports
+_LAZY = {
+    "transform": (
+        "characteristic_to_lightcone",
+        "characteristic_to_spacetime",
+        "current_to_lightcone",
+        "current_to_spacetime",
+        "substitute_to_lightcone",
+        "substitute_to_spacetime",
+    ),
+    "oracle": (
+        "Rectangle",
+        "Solution",
+        "SolutionFormatError",
+        "check_characteristic_numeric",
+        "check_conservation",
+        "eval_jet",
+        "parse_solution",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted({name for name in dir() if not name.startswith("_")} | set(_HOME) | set(_LAZY))
+
+
+def __getattr__(name):
+    # never cached in this namespace: each read sees the module's binding as
+    # it is then, which a tracer may wrap and later restore
+    module = _HOME.get(name, name if name in _LAZY else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _import_module(f"{__name__}.{module}")  # binds the module's name here
+    return home if module == name else getattr(home, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

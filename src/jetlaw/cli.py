@@ -32,10 +32,10 @@ from .conservation import (
     verify_current,
     witness_to_json,
 )
-from .transform import current_to_lightcone, current_to_spacetime
-from .oracle import Rectangle, SolutionFormatError, check_conservation, parse_solution
 from .config import Config, resolve
-from .golden import GOLDEN_CASES
+
+# transform, oracle and golden are imported by the commands that use them,
+# so that the others start without loading them
 
 
 class InputError(ValueError):
@@ -147,9 +147,11 @@ def _pulled(current: Current, frame: Frame | None = None) -> Current:
     """The current in frame, by default in the frame it is not given in."""
     if current.frame is frame:
         return current
+    from . import transform
+
     if current.frame is LIGHTCONE:
-        return current_to_spacetime(current)
-    return current_to_lightcone(current)
+        return transform.current_to_spacetime(current)
+    return transform.current_to_lightcone(current)
 
 
 def _emit(config: Config, lines, doc) -> None:
@@ -265,19 +267,21 @@ def _cmd_pullback(args, config: Config) -> int:
 
 
 def _cmd_numcheck(args, config: Config) -> int:
+    from . import oracle
+
     current = _load_current(args)
     try:
-        solution = parse_solution(args.solution)
-    except SolutionFormatError as exc:
+        solution = oracle.parse_solution(args.solution)
+    except oracle.SolutionFormatError as exc:
         raise InputError(str(exc)) from exc
     try:
         corners = tuple(float(v) for v in args.rect.split(","))
         if len(corners) != 4:
             raise ValueError("need four numbers")
-        rect = Rectangle(*corners, panels=args.nodes)
+        rect = oracle.Rectangle(*corners, panels=args.nodes)
     except ValueError as exc:
         raise InputError(f"bad rectangle: {exc}") from exc
-    result = check_conservation(current, solution, rect)
+    result = oracle.check_conservation(current, solution, rect)
     ok = result.residual < config.tolerance
     _emit(
         config,
@@ -290,7 +294,7 @@ def _cmd_numcheck(args, config: Config) -> int:
         {
             "kind": "fluxcheck",
             # residual, coarse_residual, ratio; JSON has no inf or nan
-            **{k: v if math.isfinite(v) else None for k, v in vars(result).items()},
+            **{k: v if math.isfinite(v) else None for k, v in zip(result._fields, result._values())},
             "pass": ok,
         },
     )
@@ -298,6 +302,8 @@ def _cmd_numcheck(args, config: Config) -> int:
 
 
 def _cmd_golden(args, config: Config) -> int:
+    from .golden import GOLDEN_CASES
+
     results = []
     for case in GOLDEN_CASES:
         passed = bool(case.run())

@@ -6,24 +6,40 @@ file, JETLAW_* environment variables, explicit command-line flags.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from types import MappingProxyType
 
-from .expr import Jet, ParseError, Sym, as_expr, parse
+from .expr import Jet, ParseError, Sym, _Record, as_expr, parse
 
 
 class ConfigError(ValueError):
     """A configuration source holds an unusable key or value."""
 
 
-@dataclass(frozen=True)
-class Config:
-    seed: int = 42
-    samples: int = 8
-    tolerance: float = 1e-8
-    format: str = "text"
-    reference_point: dict = field(default_factory=dict)  # atom -> Fraction
+class Config(_Record):
+    """The resolved settings; reference_point maps atoms to Fractions.
+
+    The constructor stores a read-only copy of the reference point, so no
+    two configs share a mapping and none changes after it is made.
+    """
+
+    __slots__ = ("seed", "samples", "tolerance", "format", "reference_point")
+    _defaults = {
+        "seed": 42,
+        "samples": 8,
+        "tolerance": 1e-8,
+        "format": "text",
+        "reference_point": MappingProxyType({}),
+    }
+
+    def __post_init__(self):
+        object.__setattr__(self, "reference_point", MappingProxyType(dict(self.reference_point)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; a dict can
+        return Config, (self.seed, self.samples, self.tolerance, self.format, dict(self.reference_point))
 
 
 ENV_PREFIX = "JETLAW_"
@@ -78,23 +94,25 @@ def parse_reference_point(text: str) -> dict:
 def _apply(config: Config, key: str, raw: str, origin: str) -> Config:
     try:
         if key == "seed":
-            return replace(config, seed=int(raw))
+            return config._replace(seed=int(raw))
         if key == "samples":
             count = int(raw)
             if count < 1:
                 raise ValueError("sample count must be positive")
-            return replace(config, samples=count)
+            return config._replace(samples=count)
         if key == "tolerance":
             value = float(raw)
             if not value > 0:
                 raise ValueError("tolerance must be positive")
-            return replace(config, tolerance=value)
+            if not math.isfinite(value):  # an infinite tolerance passes every check
+                raise ValueError("tolerance must be finite")
+            return config._replace(tolerance=value)
         if key == "format":
             if raw not in ("text", "json"):
                 raise ValueError("format must be text or json")
-            return replace(config, format=raw)
+            return config._replace(format=raw)
         if key == "ref_point":
-            return replace(config, reference_point=parse_reference_point(raw))
+            return config._replace(reference_point=parse_reference_point(raw))
     except ConfigError:
         raise
     except ValueError as exc:

@@ -20,8 +20,6 @@ on xi and the xi-derivatives w[k,0] (k >= 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
@@ -30,6 +28,7 @@ from .expr import (
     Jet,
     Sym,
     UnsupportedIntegrandError,
+    _Record,
     as_expr,
     diff_partial,
     integrate_univar,
@@ -53,13 +52,11 @@ class NotConservedError(ValueError):
     """The pair fails D1 F + D2 G = 0 on solutions."""
 
 
-@dataclass(frozen=True)
-class Current:
-    """A pair of differential functions paired with the frame's divergence."""
+class Current(_Record):
+    """A pair of differential functions paired with the frame's divergence:
+    a Frame and two Exprs, first and second."""
 
-    frame: Frame
-    first: Expr
-    second: Expr
+    __slots__ = ("frame", "first", "second")
 
     def __post_init__(self):
         check_frame(self.first, self.frame)
@@ -84,13 +81,14 @@ def _one_sided(e: Expr, axis: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class CanonicalCurrent(Current):
     """A light-cone current in canonical shape.
 
     first = F(eta, w[0,1], ..., w[0,r]); second = G(xi, w[1,0], ..., w[r,0]).
     In particular neither component may contain w itself or any mixed jet.
     """
+
+    __slots__ = ()
 
     def __post_init__(self):
         super().__post_init__()
@@ -105,28 +103,25 @@ class CanonicalCurrent(Current):
                 raise ValueError(f"{label} component {component} is not {side}-sided")
 
 
-@dataclass(frozen=True)
-class Characteristic:
-    """A multiplier lambda with Div(current) = lambda * (equation LHS)."""
+class Characteristic(_Record):
+    """A multiplier lambda with Div(current) = lambda * (equation LHS): a
+    Frame and the Expr multiplier."""
 
-    frame: Frame
-    multiplier: Expr
+    __slots__ = ("frame", "multiplier")
 
     def __post_init__(self):
         check_frame(self.multiplier, self.frame)
 
 
-@dataclass(frozen=True)
-class TrivialWitness:
+class TrivialWitness(_Record):
     """Certificate that a canonical current is trivial.
 
     F == D_eta(f_part) + constant * w[0,1] and
-    G == D_xi(g_part) - constant * w[1,0], with the restricted derivatives.
+    G == D_xi(g_part) - constant * w[1,0], with the restricted derivatives;
+    f_part and g_part are Exprs, constant a Fraction.
     """
 
-    f_part: Expr
-    g_part: Expr
-    constant: Fraction
+    __slots__ = ("f_part", "g_part", "constant")
 
 
 def divergence(current: Current) -> Expr:

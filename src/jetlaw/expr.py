@@ -50,6 +50,13 @@ a product of two monomials is a linear merge of their sorted atom tuples
 ``Jet`` and ``Fn`` intern tables hold their atoms weakly: an atom, and
 with it an ``Fn``'s argument expression, lives only as long as something
 else refers to it.  Pickling and copying return the interned instance.
+
+The package's other immutable values (``ZeroVerdict`` here, ``Frame``,
+``Current``, ``Config`` and the rest elsewhere) are records: slotted
+subclasses of ``_Record``, whose fields are their ``__slots__``.  They
+compare, hash and print as frozen dataclasses do, but the package does not
+import ``dataclasses``: its import and the methods it generates for each
+class cost about 20 ms of CPU in every CLI process.
 """
 
 from __future__ import annotations
@@ -59,7 +66,6 @@ import random
 import string
 import threading
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Mapping, Union
@@ -92,12 +98,19 @@ class UnsupportedIntegrandError(ValueError):
 _INTERN_LOCK = threading.Lock()
 
 
+def _refuse_mutation(self, *_):
+    """__setattr__ and __delattr__ of the immutable classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class _Atom:
     """Base of the interned atoms: one instance per value, never mutated.
 
     Equal values are the same object, so ``==`` and ``hash`` are the
     identity defaults of ``object``.  ``sort_key`` is computed once, when
     the instance is made.  Each subclass's own ``__slots__`` are its fields.
+    The records below (``_Record``) share the immutability and the repr
+    but are not interned, so they compare and hash by their fields.
     """
 
     __slots__ = ("sort_key", "__weakref__")
@@ -115,21 +128,87 @@ class _Atom:
                 cls._interned[key] = self
             return self
 
-    def _fields(self) -> tuple:
+    def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in type(self).__slots__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = _refuse_mutation
 
     def __reduce__(self):
         # unpickling and copying go through __new__, which returns the interned instance
-        return type(self), self._fields()
+        return type(self), self._values()
 
     def __repr__(self):
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields()))
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._values()))
+        return f"{type(self).__name__}({body})"
+
+
+class _Record:
+    """Base of the immutable value records: ``Current``, ``Frame``,
+    ``Config`` and the rest.  Unlike atoms they are not interned.
+
+    A subclass names its fields in ``__slots__``, after those of the record
+    it extends, and their defaults in the class dict ``_defaults``; checks
+    go in ``__post_init__``, which the constructor calls last.  As with a
+    frozen dataclass, records are equal only when they are of one class
+    with equal fields, ``hash`` is taken over the fields, ``repr`` is
+    ``Name(field=value, ...)`` and assignment raises AttributeError.
+    ``_replace`` copies a record with some fields changed, through the
+    constructor and so through the checks.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()  # field names, in constructor order
+    _defaults: dict = {}  # field name -> default value
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" not in cls.__dict__:  # without it the record would get a __dict__
+            raise TypeError(f"record {cls.__name__} must define __slots__")
+        cls._fields = cls._fields + tuple(cls.__slots__)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                value = kwargs.pop(name)
+            elif name in self._defaults:
+                value = self._defaults[name]
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+            object.__setattr__(self, name, value)
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unknown or repeated fields {sorted(kwargs)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    __setattr__ = __delattr__ = _refuse_mutation
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        # without it, copy and pickle would restore the slots through __setattr__
+        return type(self), self._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({body})"
 
 
@@ -842,12 +921,10 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
 # zero testing
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(_Record):
     """Outcome of a zero test; probabilistic=True means randomized evaluation."""
 
-    zero: bool
-    probabilistic: bool
+    __slots__ = ("zero", "probabilistic")
 
 
 def _decidable(e: Expr) -> bool:

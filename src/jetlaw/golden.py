@@ -8,11 +8,10 @@ the non-variational scaling multiplier, and the numeric flux oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .expr import parse
+from .expr import _Record, parse
 from .jets import LIGHTCONE, SPACETIME, euler_operator
 from .conservation import (
     CanonicalCurrent,
@@ -159,10 +158,10 @@ def _case_numeric_counterexample() -> bool:
     return fine.residual > 1e-3 and rough.residual > 1e-3
 
 
-@dataclass(frozen=True)
-class GoldenCase:
-    name: str
-    run: Callable[[], bool]
+class GoldenCase(_Record):
+    """A named worked example; run() is true when it passes."""
+
+    __slots__ = ("name", "run")
 
 
 GOLDEN_CASES = (

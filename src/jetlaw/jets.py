@@ -13,9 +13,7 @@ evaluated on solutions and is only defined on already-reduced expressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .expr import Expr, Jet, Sym, _derive, as_expr, diff_partial, substitute
+from .expr import Expr, Jet, Sym, _Record, _derive, as_expr, diff_partial, substitute
 
 
 class FrameMismatchError(ValueError):
@@ -30,16 +28,16 @@ class PrincipalDerivativeError(ValueError):
         self.jet = jet
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_Record):
     """Two independent symbols, one dependent variable, and the equation
-    jet(*leading) = sum of jet(*e) for e in equals (zero when empty)."""
+    jet(*leading) = sum of jet(*e) for e in equals (zero when empty).
 
-    name: str
-    variables: tuple[str, str]
-    dependent: str
-    leading: tuple[int, int]
-    equals: tuple[tuple[int, int], ...] = ()
+    Fields: name; variables, a pair of symbol names; dependent; leading, an
+    (i, j) pair; equals, a tuple of (i, j) pairs.
+    """
+
+    __slots__ = ("name", "variables", "dependent", "leading", "equals")
+    _defaults = {"equals": ()}
 
     def symbol(self, axis: int) -> Sym:
         return Sym(self.variables[axis])
@@ -60,6 +58,12 @@ class Frame:
 
     def __str__(self):
         return self.name
+
+    def __reduce__(self):
+        # the named frames are compared by identity, so copies must be them
+        if _FRAMES.get(self.name) is self:
+            return Frame.from_name, (self.name,)
+        return super().__reduce__()
 
 
 LIGHTCONE = Frame("lightcone", ("xi", "eta"), "w", leading=(1, 1))

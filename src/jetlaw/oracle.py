@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .expr import Expr, Jet, evaluate_float
+from .expr import Expr, Jet, _Record, evaluate_float
 from .jets import LIGHTCONE, SPACETIME, equation_expression, total_derivative
 from .conservation import Characteristic, Current, divergence, spacetime_remainder
 from .transform import characteristic_to_spacetime, current_to_spacetime
@@ -34,11 +33,10 @@ def _fraction(text: str) -> Fraction:
         raise SolutionFormatError(f"bad rational {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """Polynomial profile sum(coeffs[k] * s^k)."""
 
-    coeffs: tuple
+    __slots__ = ("coeffs",)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k))
@@ -50,14 +48,12 @@ class Poly:
         return total
 
 
-@dataclass(frozen=True)
-class Wave:
-    """Trigonometric profile scale * sin|cos(a*s + b)."""
+class Wave(_Record):
+    """Trigonometric profile scale * sin|cos(a*s + b), with Fraction a, b
+    and scale."""
 
-    head: str
-    a: Fraction
-    b: Fraction
-    scale: Fraction = Fraction(1)
+    __slots__ = ("head", "a", "b", "scale")
+    _defaults = {"scale": Fraction(1)}
 
     def derivative(self) -> "Wave":
         if self.head == "sin":
@@ -69,13 +65,11 @@ class Wave:
         return float(self.scale) * fn(float(self.a) * s + float(self.b))
 
 
-@dataclass(frozen=True)
-class Damp:
-    """Exponential profile scale * exp(a*s + b)."""
+class Damp(_Record):
+    """Exponential profile scale * exp(a*s + b), with Fraction a, b and scale."""
 
-    a: Fraction
-    b: Fraction
-    scale: Fraction = Fraction(1)
+    __slots__ = ("a", "b", "scale")
+    _defaults = {"scale": Fraction(1)}
 
     def derivative(self) -> "Damp":
         return Damp(self.a, self.b, self.scale * self.a)
@@ -88,12 +82,11 @@ def _profile_value(terms: tuple, s: float) -> float:
     return sum(term(s) for term in terms)
 
 
-@dataclass(frozen=True)
-class Solution:
-    """u(t, x) = f(x + t) + g(x - t) with closed-form profile derivatives."""
+class Solution(_Record):
+    """u(t, x) = f(x + t) + g(x - t) with closed-form profile derivatives;
+    f_terms and g_terms are tuples of profiles."""
 
-    f_terms: tuple
-    g_terms: tuple
+    __slots__ = ("f_terms", "g_terms")
 
     def _derived(self, terms: tuple, order: int) -> tuple:
         for _ in range(order):
@@ -208,15 +201,12 @@ def _simpson(fn: Callable[[float], float], a: float, b: float, panels: int) -> f
     return total * h / 3.0
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """Closed contour for the flux test, axis-aligned in (t, x)."""
+class Rectangle(_Record):
+    """Closed contour for the flux test, axis-aligned in (t, x): float
+    corners t0 < t1 and x0 < x1, and the Simpson panels per edge."""
 
-    t0: float
-    t1: float
-    x0: float
-    x1: float
-    panels: int = 128
+    __slots__ = ("t0", "t1", "x0", "x1", "panels")
+    _defaults = {"panels": 128}
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.t0, self.t1, self.x0, self.x1))):
@@ -227,11 +217,11 @@ class Rectangle:
             raise ValueError("panel count must be even and at least 16")
 
 
-@dataclass(frozen=True)
-class FluxResult:
-    residual: float
-    coarse_residual: float
-    ratio: float
+class FluxResult(_Record):
+    """The flux check's float residuals, with the rectangle's panel count
+    and with about half as many, and their ratio, coarse over fine."""
+
+    __slots__ = ("residual", "coarse_residual", "ratio")
 
 
 def _component_evaluators(current: Current, solution: Solution):

@@ -554,6 +554,25 @@ def test_bad_config_file_exits_2(capsys, tmp_path):
     assert "samples" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_an_infinite_tolerance_exits_2(capsys, tmp_path, monkeypatch, source, value):
+    # the residual here is about 1.08, and any finite tolerance below it fails
+    argv = ["numcheck", "--first", "w[1,0]", "--second", "0", "--solution", "sin:1,0;poly:0,0,1"]
+    if source == "flag":
+        argv += ["--tolerance", value]
+    elif source == "env":
+        monkeypatch.setenv("JETLAW_TOLERANCE", value)
+    else:
+        config = tmp_path / "jetlaw.cfg"
+        config.write_text(f"tolerance = {value}\n")
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "bad value for tolerance" in err
+
+
 def test_reference_point_flag_changes_normalization(capsys):
     args = [
         "normalize",

@@ -36,6 +36,7 @@ from jetlaw.expr import (
     Jet,
     Sym,
     UnsupportedExpressionError,
+    ZeroVerdict,
     _mono_mul,
     as_expr,
     diff_partial,
@@ -45,8 +46,11 @@ from jetlaw.expr import (
     parse,
     substitute,
 )
-from jetlaw.jets import LIGHTCONE, SPACETIME, restricted_derivative, total_derivative
+from jetlaw.jets import LIGHTCONE, SPACETIME, Frame, restricted_derivative, total_derivative
 from jetlaw.transform import substitute_to_spacetime
+from jetlaw.conservation import CanonicalCurrent, Characteristic, Current, TrivialWitness
+from jetlaw.config import Config, resolve
+from jetlaw.oracle import Rectangle, parse_solution
 
 LIGHTCONE_ATOMS = [Sym("xi"), Sym("eta"), Jet("w", 0, 0), Jet("w", 1, 0),
                    Jet("w", 0, 1), Jet("w", 1, 1), Jet("w", 0, 2), Jet("w", 2, 1)]
@@ -372,6 +376,95 @@ def test_atom_repr_names_its_fields():
     assert repr(Fn("cos", parse("t"))) == "Fn(head='cos', arg=Expr('t'))"
 
 
+# --- records --------------------------------------------------------------------
+
+# name -> (a function making one record, its fields in constructor order)
+RECORD_VALUES = {
+    "Current": (lambda: Current(LIGHTCONE, parse("w[0,1]^2"), parse("-w[1,0]^2")),
+                ("frame", "first", "second")),
+    "CanonicalCurrent": (lambda: CanonicalCurrent(LIGHTCONE, parse("w[0,1]^2"), parse("-w[1,0]^2")),
+                         ("frame", "first", "second")),
+    "Characteristic": (lambda: Characteristic(SPACETIME, parse("u[1,0]")), ("frame", "multiplier")),
+    "TrivialWitness": (lambda: TrivialWitness(parse("w[0,1]^2"), parse("0"), Fraction(3, 2)),
+                       ("f_part", "g_part", "constant")),
+    "ZeroVerdict": (lambda: ZeroVerdict(True, False), ("zero", "probabilistic")),
+    "Frame": (lambda: Frame("plane", ("t", "x"), "v", (2, 0), ((0, 2),)),
+              ("name", "variables", "dependent", "leading", "equals")),
+    "Config": (lambda: Config(seed=5, reference_point={Sym("xi"): Fraction(1, 2)}),
+               ("seed", "samples", "tolerance", "format", "reference_point")),
+    "Solution": (lambda: parse_solution("sin:1,0,1/2+exp:2,0;poly:0,0,1"), ("f_terms", "g_terms")),
+    "Rectangle": (lambda: Rectangle(0.0, 0.75, -1.75, -0.75), ("t0", "t1", "x0", "x1", "panels")),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_VALUES)
+def test_records_behave_as_frozen_dataclasses(name):
+    make, fields = RECORD_VALUES[name]
+    record, twin = make(), make()
+    assert type(record).__name__ == name and record is not twin
+    assert record == twin and not record != twin
+    if name == "Config":  # a mapping field is unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin) == hash(tuple(getattr(record, f) for f in fields))
+    assert repr(record) == f"{name}(" + ", ".join(f"{f}={getattr(record, f)!r}" for f in fields) + ")"
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is type(record) and again == record
+
+
+def test_records_of_different_classes_are_never_equal():
+    fields = (LIGHTCONE, parse("w[0,1]^2"), parse("-w[1,0]^2"))
+    assert Current(*fields) != CanonicalCurrent(*fields)
+    assert not Current(*fields) == CanonicalCurrent(*fields)
+    assert Characteristic(LIGHTCONE, parse("1")) != (LIGHTCONE, parse("1"))
+
+
+def test_copies_of_the_named_frames_are_the_frames():
+    current = Current(SPACETIME, parse("u[1,0]"), parse("-u[0,1]"))
+    for frame in (LIGHTCONE, SPACETIME):
+        assert pickle.loads(pickle.dumps(frame)) is frame
+        assert copy.deepcopy(frame) is frame
+    assert pickle.loads(pickle.dumps(current)).frame is SPACETIME
+    assert copy.deepcopy(current).frame is SPACETIME
+    assert copy.deepcopy(RECORD_VALUES["CanonicalCurrent"][0]()).frame is LIGHTCONE
+
+
+def test_records_are_slotted_and_checked_in_every_construction():
+    assert not any(hasattr(make(), "__dict__") for make, _ in RECORD_VALUES.values())
+    with pytest.raises(ValueError, match="not eta-sided"):
+        CanonicalCurrent(LIGHTCONE, parse("w[1,1]"), parse("0"))
+    with pytest.raises(ValueError, match="finite"):
+        Rectangle(0.0, math.inf, 0.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Rectangle(0.0, 1.0, 0.0, 1.0)._replace(x1=math.nan)
+    with pytest.raises(TypeError):
+        Rectangle(0.0, 1.0, 0.0)
+    with pytest.raises(TypeError):
+        Rectangle(0.0, 1.0, 0.0, 1.0, t0=0.5)
+    with pytest.raises(TypeError):
+        Config()._replace(verbose=True)
+    assert Config()._replace(seed=5, samples=3) == Config(5, 3)
+
+
+def test_config_reference_point_defaults_to_a_read_only_empty_mapping():
+    point = Config().reference_point
+    assert point == {} and not point
+    with pytest.raises(TypeError):
+        point[Sym("xi")] = Fraction(1)
+    assert Config().reference_point == {}
+    assert resolve(ref_point="xi=1/2").reference_point == {Sym("xi"): Fraction(1, 2)}
+    with pytest.raises(TypeError):
+        resolve(ref_point="xi=1/2").reference_point[Sym("xi")] = Fraction(1)
+
+
 def test_intern_table_does_not_keep_function_atoms_alive():
     atom = Fn("exp", parse("17*w[3,0] + 13*eta^5"))
     text = str(atom.arg)
@@ -434,16 +527,17 @@ def test_merged_monomial_product_matches_dict_and_sort(m1, m2):
 # --- mpmath is loaded by sampled zero tests only -------------------------------
 
 
-def _modules_after(code: str) -> str:
-    """Whether mpmath is loaded after code runs in a fresh interpreter."""
+def _modules_after(code: str, watched=("mpmath",)) -> set:
+    """The watched modules that are loaded after code runs in a fresh interpreter."""
     package_root = os.path.dirname(os.path.dirname(jetlaw.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    report = f"print('loaded:', *[m for m in {list(watched)!r} if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint('mpmath' in sys.modules)"],
+        [sys.executable, "-c", f"import sys\n{code}\n{report}"],
         capture_output=True, text=True, check=True, timeout=60, env=env,
     )
-    return out.stdout.strip().splitlines()[-1]
+    return set(out.stdout.splitlines()[-1].split()[1:])
 
 
 def test_mpmath_is_imported_only_when_a_zero_test_samples():
@@ -452,12 +546,33 @@ def test_mpmath_is_imported_only_when_a_zero_test_samples():
         "code = jetlaw.cli.main(['verify', '--first', 'w[0,1]^2', '--second', '-w[1,0]^2'])\n"
         "assert code in (0, 1), code"
     )
-    assert _modules_after(polynomial) == "False"
+    assert _modules_after(polynomial) == set()
     sampled = (
         "from jetlaw.expr import parse, zero_verdict\n"
         "assert zero_verdict(parse('sin(w[0,1])^2 + cos(w[0,1])^2 - 1')).probabilistic"
     )
-    assert _modules_after(sampled) == "True"
+    assert _modules_after(sampled) == {"mpmath"}
+
+
+_ENERGY = ["--first", "w[0,1]^2", "--second", "-w[1,0]^2"]
+_OPTIONAL = ("jetlaw.transform", "jetlaw.oracle", "jetlaw.golden", "dataclasses")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["parse", "--expr", "(w[0,1] + 3)^2"], set()),
+    (["verify", *_ENERGY], set()),
+    (["characteristic", *_ENERGY], set()),
+    (["is-trivial", "--first", "3*w[0,1]", "--second", "-3*w[1,0]"], set()),
+    (["is-characteristic", "--multiplier", "3*w[0,1]"], set()),
+    (["normalize", "--first", "w[0,1]^2 + w[1,1]", "--second", "-w[1,0]^2 + w[2,1]"], set()),
+    (["witness", "--first", "2*w[0,1]*w[0,2] + 3*w[0,1]", "--second", "-3*w[1,0]"], set()),
+    (["pullback", *_ENERGY], {"jetlaw.transform"}),
+    (["numcheck", *_ENERGY, "--solution", "sin:1,0;poly:0,0,1"], {"jetlaw.transform", "jetlaw.oracle"}),
+    (["golden"], {"jetlaw.transform", "jetlaw.oracle", "jetlaw.golden"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_a_command_loads_only_the_modules_it_uses(argv, loaded):
+    command = f"import jetlaw.cli\ncode = jetlaw.cli.main({argv!r})\nassert code == 0, code"
+    assert _modules_after(command, _OPTIONAL) == loaded
 
 
 # --- integer numerators over one denominator ----------------------------------
