@@ -6,7 +6,6 @@ file, JETLAW_* environment variables, explicit command-line flags.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 from types import MappingProxyType
@@ -102,10 +101,8 @@ def _apply(config: Config, key: str, raw: str, origin: str) -> Config:
             return config._replace(samples=count)
         if key == "tolerance":
             value = float(raw)
-            if not value > 0:
-                raise ValueError("tolerance must be positive")
-            if not math.isfinite(value):  # an infinite tolerance passes every check
-                raise ValueError("tolerance must be finite")
+            if not 0 < value < float("inf"):  # an infinite tolerance passes every check
+                raise ValueError("tolerance must be positive and finite")
             return config._replace(tolerance=value)
         if key == "format":
             if raw not in ("text", "json"):
