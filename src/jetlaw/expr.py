@@ -53,10 +53,10 @@ else refers to it.  Pickling and copying return the interned instance.
 
 The package's other immutable values (``ZeroVerdict`` here, ``Frame``,
 ``Current``, ``Config`` and the rest elsewhere) are records: slotted
-subclasses of ``_Record``, whose fields are their ``__slots__``.  They
-compare, hash and print as frozen dataclasses do, but the package does not
-import ``dataclasses``: its import and the methods it generates for each
-class cost about 20 ms of CPU in every CLI process.
+subclasses of ``_Record``, whose fields are their ``__slots__``.  The base
+writes their equality, hash and repr once, generically, where generating
+those methods for each class at import, and importing the standard
+library's generator, cost about 20 ms of CPU in every CLI process.
 """
 
 from __future__ import annotations
@@ -148,12 +148,11 @@ class _Record:
 
     A subclass names its fields in ``__slots__``, after those of the record
     it extends, and their defaults in the class dict ``_defaults``; checks
-    go in ``__post_init__``, which the constructor calls last.  As with a
-    frozen dataclass, records are equal only when they are of one class
-    with equal fields, ``hash`` is taken over the fields, ``repr`` is
-    ``Name(field=value, ...)`` and assignment raises AttributeError.
-    ``_replace`` copies a record with some fields changed, through the
-    constructor and so through the checks.
+    go in ``__post_init__``, which the constructor calls last.  Records
+    are equal only when they are of one class with equal fields, ``hash``
+    is taken over the fields, ``repr`` is ``Name(field=value, ...)`` and
+    assignment raises AttributeError.  ``_replace`` copies a record with
+    some fields changed, through the constructor and so through the checks.
     """
 
     __slots__ = ()
