@@ -5,6 +5,12 @@ false (including non-conserved inputs), 2 for unusable input: parse
 errors, frame mismatches, bad configuration, unsupported expression
 classes.  JSON output mirrors the serialized documents, so a command's
 output can be piped back into another command via --doc -.
+
+Each command is declared once, in ``build_parser``, with its handler and
+only the options it reads: --config and --format everywhere, --samples
+and --seed where a zero test runs, --ref-point where a current is
+normalized and --tolerance on numcheck; any other flag exits 2.
+Environment variables and config-file keys apply to every command.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .conservation import (
     verify_current,
     witness_to_json,
 )
-from .config import Config, resolve
+from .config import KEYS, Config, resolve
 
 # transform, oracle and golden are imported by the commands that use them,
 # so that the others start without loading them
@@ -42,20 +48,19 @@ class InputError(ValueError):
     """Bad command-line input; reported with exit code 2."""
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--format", choices=("text", "json"), help="output format")
-    sub.add_argument("--seed", type=int, help="seed for probabilistic zero tests")
-    sub.add_argument("--samples", type=int, help="sample count for zero tests")
-    sub.add_argument("--tolerance", type=float, help="numeric pass threshold")
-    sub.add_argument("--ref-point", help="normalization base point, atom=value pairs")
-
-
-def _add_current_args(sub: argparse.ArgumentParser):
-    sub.add_argument("--frame", choices=("lightcone", "spacetime"), default="lightcone")
-    sub.add_argument("--first", help="first current component")
-    sub.add_argument("--second", help="second current component")
-    sub.add_argument("--doc", help="JSON current document, path or - for stdin")
+# the settings a command may be given, each on the commands that read it
+_SETTINGS = {
+    "--seed": {"type": int, "help": "seed for probabilistic zero tests"},
+    "--samples": {"type": int, "help": "sample count for zero tests"},
+    "--tolerance": {"type": float, "help": "numeric pass threshold"},
+    "--ref-point": {"help": "normalization base point, atom=value pairs"},
+}
+_SAMPLED = ("--samples", "--seed")
+# document kind -> (record, its reader, its inline fields)
+_DOCUMENTS = {
+    "current": (Current, current_from_json, ("first", "second")),
+    "characteristic": (Characteristic, characteristic_from_json, ("multiplier",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,30 +70,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("parse", help="parse and reprint in canonical form")
+    def command(name, handler, blurb, *settings, document=None):
+        """A subcommand with its handler, the kind of document it reads
+        (by --doc or inline) if any, and the settings it reads."""
+        sub = subs.add_parser(name, help=blurb)
+        sub.set_defaults(handler=handler, document=document)
+        if document:
+            sub.add_argument("--frame", choices=("lightcone", "spacetime"),
+                             help="frame of inline input (default lightcone)")
+            for field in _DOCUMENTS[document][2]:
+                sub.add_argument(f"--{field}", help=f"{field} expression of the inline {document}")
+            sub.add_argument("--doc", help=f"JSON {document} document, path or - for stdin")
+        sub.add_argument("--config", help="key=value configuration file")
+        sub.add_argument("--format", choices=("text", "json"), help="output format")
+        for option in settings:
+            sub.add_argument(option, **_SETTINGS[option])
+        return sub
+
+    p = command("parse", _cmd_parse, "parse and reprint in canonical form")
     p.add_argument("--expr", required=True)
-    _add_common(p)
-
-    for name, blurb in (
-        ("verify", "check that the divergence vanishes on solutions"),
-        ("normalize", "bring a light-cone current to canonical shape"),
-        ("characteristic", "compute the conservation-law multiplier"),
-        ("is-trivial", "decide equivalence to the zero current"),
-        ("witness", "produce the triviality certificate"),
-        ("pullback", "transform a current to the other frame"),
-    ):
-        p = subs.add_parser(name, help=blurb)
-        _add_current_args(p)
-        _add_common(p)
-
-    p = subs.add_parser("is-characteristic", help="Euler-operator multiplier test")
-    p.add_argument("--frame", choices=("lightcone", "spacetime"), default="lightcone")
-    p.add_argument("--multiplier", help="multiplier expression")
-    p.add_argument("--doc", help="JSON characteristic document, path or -")
-    _add_common(p)
-
-    p = subs.add_parser("numcheck", help="numeric contour-flux conservation check")
-    _add_current_args(p)
+    command("verify", _cmd_verify, "check that the divergence vanishes on solutions",
+            *_SAMPLED, document="current")
+    command("normalize", _cmd_normalize, "bring a light-cone current to canonical shape",
+            *_SAMPLED, "--ref-point", document="current")
+    command("characteristic", _cmd_characteristic, "compute the conservation-law multiplier",
+            *_SAMPLED, document="current")
+    command("is-trivial", _cmd_is_trivial, "decide equivalence to the zero current",
+            *_SAMPLED, document="current")
+    command("witness", _cmd_witness, "produce the triviality certificate",
+            *_SAMPLED, "--ref-point", document="current")
+    command("pullback", _cmd_pullback, "transform a current to the other frame", document="current")
+    command("is-characteristic", _cmd_is_characteristic, "Euler-operator multiplier test",
+            *_SAMPLED, document="characteristic")
+    p = command("numcheck", _cmd_numcheck, "numeric contour-flux conservation check",
+                "--tolerance", document="current")
     p.add_argument(
         "--solution",
         required=True,
@@ -96,23 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rect", default="0,0.75,-1.75,-0.75", help="t0,t1,x0,x1")
     p.add_argument("--nodes", type=int, default=128, help="Simpson panels per edge")
-    _add_common(p)
-
-    p = subs.add_parser("golden", help="run the twelve worked examples")
-    _add_common(p)
-
+    command("golden", _cmd_golden, "run the twelve worked examples")
     return parser
 
 
 def _config_from(args) -> Config:
-    return resolve(
-        file_path=getattr(args, "config", None),
-        seed=getattr(args, "seed", None),
-        samples=getattr(args, "samples", None),
-        tolerance=getattr(args, "tolerance", None),
-        format=getattr(args, "format", None),
-        ref_point=getattr(args, "ref_point", None),
-    )
+    # a command without a setting's flag leaves it to the file, environment or default
+    return resolve(file_path=args.config, **{key: getattr(args, key, None) for key in KEYS})
 
 
 def _read_doc(spec: str) -> str:
@@ -125,22 +130,30 @@ def _read_doc(spec: str) -> str:
         raise InputError(f"cannot read document {spec}: {exc}") from exc
 
 
-def _load_current(args) -> Current:
+def _load(args):
+    """The command's current or characteristic, given by --doc or inline
+    by its fields and --frame; giving both is an error, not a choice."""
+    kind = args.document
+    record, from_json, fields = _DOCUMENTS[kind]
+    inline = [f"--{name}" for name in (*fields, "frame") if getattr(args, name) is not None]
     if args.doc:
+        if inline:
+            raise InputError(f"--doc cannot be combined with {', '.join(inline)}")
         try:
-            return current_from_json(_read_doc(args.doc))
+            return from_json(_read_doc(args.doc))
         except (KeyError, ValueError) as exc:
-            raise InputError(f"bad current document: {exc}") from exc
-    if args.first is None or args.second is None:
-        raise InputError("give --first and --second, or --doc")
-    frame = Frame.from_name(args.frame)
-    components = []
-    for label, text in (("first", args.first), ("second", args.second)):
+            raise InputError(f"bad {kind} document: {exc}") from exc
+    if any(getattr(args, name) is None for name in fields):
+        given = " and ".join(f"--{name}" for name in fields)
+        raise InputError(f"give {given}{',' if len(fields) > 1 else ''} or --doc")
+    values = []
+    for name in fields:
+        text = getattr(args, name)
         try:
-            components.append(parse(text))
+            values.append(parse(text))
         except ParseError as exc:
-            raise InputError(f"in --{label} {text!r}: {exc}") from exc
-    return Current(frame, components[0], components[1])
+            raise InputError(f"in --{name} {text!r}: {exc}") from exc
+    return record(Frame.from_name(args.frame or "lightcone"), *values)
 
 
 def _pulled(current: Current, frame: Frame | None = None) -> Current:
@@ -169,7 +182,7 @@ def _cmd_parse(args, config: Config) -> int:
 
 
 def _cmd_verify(args, config: Config) -> int:
-    current = _load_current(args)
+    current = _load(args)
     ok = verify_current(current, samples=config.samples, seed=config.seed)
     _emit(
         config,
@@ -180,7 +193,7 @@ def _cmd_verify(args, config: Config) -> int:
 
 
 def _cmd_normalize(args, config: Config) -> int:
-    current = _pulled(_load_current(args), LIGHTCONE)
+    current = _pulled(_load(args), LIGHTCONE)
     canonical = normalize_current(
         current, config.reference_point, samples=config.samples, seed=config.seed
     )
@@ -193,7 +206,7 @@ def _cmd_normalize(args, config: Config) -> int:
 
 
 def _cmd_characteristic(args, config: Config) -> int:
-    lam = characteristic(_load_current(args), samples=config.samples, seed=config.seed)
+    lam = characteristic(_load(args), samples=config.samples, seed=config.seed)
     trivial = is_zero(lam.multiplier, samples=config.samples, seed=config.seed)
     text = str(lam.multiplier) + (" (trivial)" if trivial else "")
     doc = json.loads(characteristic_to_json(lam))
@@ -203,7 +216,7 @@ def _cmd_characteristic(args, config: Config) -> int:
 
 
 def _cmd_is_trivial(args, config: Config) -> int:
-    verdict = is_trivial(_load_current(args), samples=config.samples, seed=config.seed)
+    verdict = is_trivial(_load(args), samples=config.samples, seed=config.seed)
     _emit(
         config,
         [f"trivial: {str(verdict).lower()}"],
@@ -213,7 +226,7 @@ def _cmd_is_trivial(args, config: Config) -> int:
 
 
 def _cmd_witness(args, config: Config) -> int:
-    current = _pulled(_load_current(args), LIGHTCONE)
+    current = _pulled(_load(args), LIGHTCONE)
     canonical = normalize_current(
         current, config.reference_point, samples=config.samples, seed=config.seed
     )
@@ -238,16 +251,7 @@ def _cmd_witness(args, config: Config) -> int:
 
 
 def _cmd_is_characteristic(args, config: Config) -> int:
-    if args.doc:
-        try:
-            candidate = characteristic_from_json(_read_doc(args.doc))
-        except (KeyError, ValueError) as exc:
-            raise InputError(f"bad characteristic document: {exc}") from exc
-    elif args.multiplier is None:
-        raise InputError("give --multiplier or --doc")
-    else:
-        candidate = Characteristic(Frame.from_name(args.frame), parse(args.multiplier))
-    ok = is_characteristic(candidate, samples=config.samples, seed=config.seed)
+    ok = is_characteristic(_load(args), samples=config.samples, seed=config.seed)
     _emit(
         config,
         [f"characteristic: {str(ok).lower()}"],
@@ -257,7 +261,7 @@ def _cmd_is_characteristic(args, config: Config) -> int:
 
 
 def _cmd_pullback(args, config: Config) -> int:
-    moved = _pulled(_load_current(args))
+    moved = _pulled(_load(args))
     _emit(
         config,
         [f"frame: {moved.frame}", f"first: {moved.first}", f"second: {moved.second}"],
@@ -269,7 +273,7 @@ def _cmd_pullback(args, config: Config) -> int:
 def _cmd_numcheck(args, config: Config) -> int:
     from . import oracle
 
-    current = _load_current(args)
+    current = _load(args)
     try:
         solution = oracle.parse_solution(args.solution)
     except oracle.SolutionFormatError as exc:
@@ -325,46 +329,23 @@ def _cmd_golden(args, config: Config) -> int:
     return 0 if good == len(results) else 1
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "verify": _cmd_verify,
-    "normalize": _cmd_normalize,
-    "characteristic": _cmd_characteristic,
-    "is-trivial": _cmd_is_trivial,
-    "witness": _cmd_witness,
-    "is-characteristic": _cmd_is_characteristic,
-    "pullback": _cmd_pullback,
-    "numcheck": _cmd_numcheck,
-    "golden": _cmd_golden,
-}
-
-
-# a value may start with a minus sign, e.g. --second "-w[1,0]"; argparse
-# only accepts those in --option=value form, so fuse the pairs
 _PARSER = build_parser()
-_VALUE_OPTIONS = frozenset(
-    option
-    for subparsers in _PARSER._actions
-    if isinstance(subparsers, argparse._SubParsersAction)
-    for sub in subparsers.choices.values()
-    for action in sub._actions
-    if action.nargs != 0
-    for option in action.option_strings
-)
+
+
+def _takes_value(token: str) -> bool:
+    # every jetlaw option but --help takes a value
+    return token.startswith("--") and "=" not in token and token not in ("--", "--help")
 
 
 def _fuse_dash_values(argv):
+    """A value may start with a minus sign, e.g. --second "-w[1,0]"; argparse
+    only accepts those in --option=value form, so fuse the pairs."""
     fused = []
-    skip = False
-    for here, upcoming in zip(argv, list(argv[1:]) + [None]):
-        if skip:
-            skip = False
-            continue
-        if here in _VALUE_OPTIONS and upcoming is not None and upcoming.startswith("-"):
-            fused.append(f"{here}={upcoming}")
-            skip = True
+    for token in argv:
+        if token.startswith("-") and fused and _takes_value(fused[-1]):
+            fused[-1] += "=" + token
         else:
-            fused.append(here)
+            fused.append(token)
     return fused
 
 
@@ -372,7 +353,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(_fuse_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         config = _config_from(args)
-        return _COMMANDS[args.command](args, config)
+        return args.handler(args, config)
     except NotConservedError as exc:
         print(f"not conserved: {exc}", file=sys.stderr)
         return 1

@@ -42,7 +42,7 @@ class Config(_Record):
 
 
 ENV_PREFIX = "JETLAW_"
-_KEYS = ("seed", "samples", "tolerance", "format", "ref_point")
+KEYS = ("seed", "samples", "tolerance", "format", "ref_point")
 
 
 def parse_reference_point(text: str) -> dict:
@@ -130,15 +130,15 @@ def load_file(config: Config, path: str) -> Config:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in _KEYS:
-            raise ConfigError(f"{path}:{number}: expected <key>=<value> with key in {_KEYS}")
+        if not sep or key not in KEYS:
+            raise ConfigError(f"{path}:{number}: expected <key>=<value> with key in {KEYS}")
         config = _apply(config, key, value.strip(), f"{path}:{number}")
     return config
 
 
 def load_env(config: Config, environ=None) -> Config:
     environ = os.environ if environ is None else environ
-    for key in _KEYS:
+    for key in KEYS:
         raw = environ.get(ENV_PREFIX + key.upper())
         if raw is not None:
             config = _apply(config, key, raw, ENV_PREFIX + key.upper())

@@ -62,6 +62,7 @@ library's generator, cost about 20 ms of CPU in every CLI process.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import string
 import threading
@@ -164,6 +165,10 @@ class _Record:
         if "__slots__" not in cls.__dict__:  # without it the record would get a __dict__
             raise TypeError(f"record {cls.__name__} must define __slots__")
         cls._fields = cls._fields + tuple(cls.__slots__)
+        get = operator.attrgetter(*cls._fields)
+        if len(cls._fields) == 1:  # attrgetter of one name returns the bare value
+            get = lambda record, one=get: (one(record),)
+        cls._get = staticmethod(get)  # record -> tuple of its field values
 
     def __init__(self, *args, **kwargs):
         names = self._fields
@@ -187,7 +192,7 @@ class _Record:
         pass
 
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        return self._get(self)
 
     def _replace(self, **changes):
         return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
@@ -197,14 +202,14 @@ class _Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._get(self) == other._get(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._get(self))
 
     def __reduce__(self):
         # without it, copy and pickle would restore the slots through __setattr__
-        return type(self), self._values()
+        return type(self), self._get(self)
 
     def __repr__(self):
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

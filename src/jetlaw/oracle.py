@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .expr import Expr, Jet, _Record, evaluate_float
@@ -78,6 +79,15 @@ class Damp(_Record):
         return float(self.scale) * math.exp(float(self.a) * s + float(self.b))
 
 
+@lru_cache(maxsize=256)
+def _derived(terms: tuple, order: int) -> tuple:
+    """The profiles' derivatives of the given order, each pair made once:
+    the flux check asks for them at every quadrature node."""
+    for _ in range(order):
+        terms = tuple(t.derivative() for t in terms)
+    return terms
+
+
 def _profile_value(terms: tuple, s: float) -> float:
     return sum(term(s) for term in terms)
 
@@ -88,16 +98,11 @@ class Solution(_Record):
 
     __slots__ = ("f_terms", "g_terms")
 
-    def _derived(self, terms: tuple, order: int) -> tuple:
-        for _ in range(order):
-            terms = tuple(t.derivative() for t in terms)
-        return terms
-
     def f(self, order: int, s: float) -> float:
-        return _profile_value(self._derived(self.f_terms, order), s)
+        return _profile_value(_derived(self.f_terms, order), s)
 
     def g(self, order: int, s: float) -> float:
-        return _profile_value(self._derived(self.g_terms, order), s)
+        return _profile_value(_derived(self.g_terms, order), s)
 
     def value(self, t: float, x: float) -> float:
         return self.f(0, x + t) + self.g(0, x - t)

@@ -375,6 +375,38 @@ def test_is_characteristic_requires_input(capsys):
     assert "give --multiplier or --doc" in err
 
 
+def test_multiplier_parse_error_names_the_option(capsys):
+    code, out, err = run(capsys, "is-characteristic", "--multiplier", "w[0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: in --multiplier 'w[0,1': expected ']', found '' (at position 5)\n"
+
+
+_ENERGY_DOC = json.dumps(
+    {"kind": "current", "frame": "lightcone", "first": "w[0,1]^2", "second": "-w[1,0]^2"}
+)
+
+
+_MINUS_TWO_DOC = json.dumps({"frame": "lightcone", "multiplier": "-2"})
+
+
+@pytest.mark.parametrize("command, document, inline", [
+    ("verify", _ENERGY_DOC, ["--first", "w[1,0]", "--second", "0", "--frame", "spacetime"]),
+    ("verify", _ENERGY_DOC, ["--first", "w[1,0]"]),
+    ("pullback", _ENERGY_DOC, ["--second", "0"]),
+    ("numcheck", _ENERGY_DOC, ["--frame", "lightcone", "--solution", ";"]),
+    ("is-characteristic", _MINUS_TWO_DOC, ["--multiplier", "w[0,0]"]),
+    ("is-characteristic", _MINUS_TWO_DOC, ["--frame", "spacetime"]),
+], ids=["verify-all", "verify-first", "pullback-second", "numcheck-frame",
+        "is-characteristic-multiplier", "is-characteristic-frame"])
+def test_a_document_and_inline_input_together_exit_2(capsys, monkeypatch, command, document, inline):
+    # at one time the document silently won, and the energy passed for the
+    # non-conserved inline current
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, out, err = run(capsys, command, "--doc", "-", *inline)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --doc cannot be combined with --") and err.count("\n") == 1, err
+
+
 # --- numeric check -----------------------------------------------------------------------
 
 def test_numcheck_energy(capsys):
@@ -616,12 +648,69 @@ def test_unknown_subcommand_raises_system_exit(capsys):
 
 def test_value_options_match_the_parser():
     # every option that takes a value must accept one that starts with a
-    # minus sign, such as --second -w[1,0]
+    # minus sign, such as --second -w[1,0]; the fusion decides by syntax,
+    # so only --help may take none
     parser = build_parser()
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    for sub in subparsers.choices.values():
+    for sub in [parser, *subparsers.choices.values()]:
         for action in sub._actions:
             if action.nargs == 0:
+                assert action.option_strings == ["-h", "--help"], action
                 continue
             for option in action.option_strings:
                 assert _fuse_dash_values([option, "-1"]) == [f"{option}=-1"], option
+
+
+def test_dash_values_are_fused_by_syntax():
+    assert _fuse_dash_values(["verify", "--first", "-w", "--second=-w", "--doc", "-"]) == [
+        "verify", "--first=-w", "--second=-w", "--doc=-"]
+    assert _fuse_dash_values(["--first", "--second", "-w"]) == ["--first=--second", "-w"]
+    for never in (["--help", "-1"], ["--", "-1"], ["-h", "-1"], ["--first", "w", "-1"]):
+        assert _fuse_dash_values(never) == never
+
+
+# every command, with the least input it runs on
+_MINIMAL = {
+    "parse": ["--expr", "t"],
+    "verify": ["--first", "w[0,1]", "--second", "-w[1,0]"],
+    "normalize": ["--first", "w[0,1]", "--second", "-w[1,0]"],
+    "characteristic": ["--first", "w[0,1]", "--second", "-w[1,0]"],
+    "is-trivial": ["--first", "w[0,1]", "--second", "-w[1,0]"],
+    "witness": ["--first", "w[0,1]", "--second", "-w[1,0]"],
+    "pullback": ["--first", "w[0,1]", "--second", "-w[1,0]"],
+    "is-characteristic": ["--multiplier", "-2"],
+    "numcheck": ["--first", "w[0,1]", "--second", "-w[1,0]", "--solution", ";"],
+    "golden": [],
+}
+_SAMPLING = ["verify", "normalize", "characteristic", "is-trivial", "witness", "is-characteristic"]
+# each setting flag -> (a value, as typed and as parsed; the commands that read it)
+_SETTING_FLAGS = {
+    "--config": ("jetlaw.cfg", "jetlaw.cfg", list(_MINIMAL)),
+    "--format": ("json", "json", list(_MINIMAL)),
+    "--samples": ("3", 3, _SAMPLING),
+    "--seed": ("-7", -7, _SAMPLING),
+    "--ref-point": ("xi=1", "xi=1", ["normalize", "witness"]),
+    "--tolerance": ("0.5", 0.5, ["numcheck"]),
+}
+_HONOURED = [(c, flag) for flag, (*_, commands) in _SETTING_FLAGS.items() for c in commands]
+_DROPPED = [(c, flag) for flag in _SETTING_FLAGS for c in _MINIMAL if (c, flag) not in _HONOURED]
+
+
+def test_the_setting_flags_split_35_to_25():
+    assert (len(_HONOURED), len(_DROPPED)) == (35, 25)
+
+
+@pytest.mark.parametrize("command, flag", _HONOURED, ids=[c + f for c, f in _HONOURED])
+def test_a_command_accepts_the_settings_it_reads(command, flag):
+    typed, parsed, _ = _SETTING_FLAGS[flag]
+    args = build_parser().parse_args(_fuse_dash_values([command, *_MINIMAL[command], flag, typed]))
+    assert getattr(args, flag[2:].replace("-", "_")) == parsed
+
+
+@pytest.mark.parametrize("command, flag", _DROPPED, ids=[c + f for c, f in _DROPPED])
+def test_a_setting_a_command_does_not_read_exits_2(capsys, command, flag):
+    # at one time every command took all six and ignored the ones it did not read
+    with pytest.raises(SystemExit) as info:
+        main([command, *_MINIMAL[command], flag, _SETTING_FLAGS[flag][0]])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -50,7 +50,7 @@ from jetlaw.jets import LIGHTCONE, SPACETIME, Frame, restricted_derivative, tota
 from jetlaw.transform import substitute_to_spacetime
 from jetlaw.conservation import CanonicalCurrent, Characteristic, Current, TrivialWitness
 from jetlaw.config import Config, resolve
-from jetlaw.oracle import Rectangle, parse_solution
+from jetlaw.oracle import Poly, Rectangle, parse_solution
 
 LIGHTCONE_ATOMS = [Sym("xi"), Sym("eta"), Jet("w", 0, 0), Jet("w", 1, 0),
                    Jet("w", 0, 1), Jet("w", 1, 1), Jet("w", 0, 2), Jet("w", 2, 1)]
@@ -393,6 +393,7 @@ RECORD_VALUES = {
     "Config": (lambda: Config(seed=5, reference_point={Sym("xi"): Fraction(1, 2)}),
                ("seed", "samples", "tolerance", "format", "reference_point")),
     "Solution": (lambda: parse_solution("sin:1,0,1/2+exp:2,0;poly:0,0,1"), ("f_terms", "g_terms")),
+    "Poly": (lambda: Poly((Fraction(1), Fraction(-2, 3))), ("coeffs",)),  # the one-field record
     "Rectangle": (lambda: Rectangle(0.0, 0.75, -1.75, -0.75), ("t0", "t1", "x0", "x1", "panels")),
 }
 
