@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 when the requested checks pass, 1 when a check comes back
-false (including non-conserved inputs), 2 for unusable input: parse
-errors, frame mismatches, bad configuration, unsupported expression
-classes.  JSON output mirrors the serialized documents, so a command's
-output can be piped back into another command via --doc -.
+false (including non-conserved inputs) or stdout cannot be written, 2 for
+unusable input: parse errors, frame mismatches, bad configuration,
+unsupported expression classes.  JSON output mirrors the serialized
+documents, so a command's output can be piped back into another command
+via --doc -.
 
 Each command is declared once, in ``build_parser``, with its handler and
 only the options it reads: --config and --format everywhere, --samples
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .expr import ParseError, is_zero, parse
@@ -121,9 +123,9 @@ def _config_from(args) -> Config:
 
 
 def _read_doc(spec: str) -> str:
-    if spec == "-":
-        return sys.stdin.read()
-    try:
+    try:  # every OSError that reaches main is then one of stdout
+        if spec == "-":
+            return sys.stdin.read()
         with open(spec, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
@@ -350,10 +352,12 @@ def _fuse_dash_values(argv):
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(_fuse_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        config = _config_from(args)
-        return args.handler(args, config)
+        try:
+            args = _PARSER.parse_args(_fuse_dash_values(sys.argv[1:] if argv is None else argv))
+            return args.handler(args, _config_from(args))
+        finally:
+            sys.stdout.flush()  # so that a closed or full stdout fails here, not at exit
     except NotConservedError as exc:
         print(f"not conserved: {exc}", file=sys.stderr)
         return 1
@@ -366,6 +370,11 @@ def main(argv=None) -> int:
     except OverflowError as exc:  # float evaluation in numcheck
         print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # stdout is closed or full: the Python docs' note on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        if not isinstance(exc, BrokenPipeError):  # a reader that stopped reading is no error
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

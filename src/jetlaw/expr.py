@@ -606,15 +606,15 @@ class Expr:
             return _ONE
         if n < 0:
             return self._invert() ** (-n)
-        out = _ONE
+        out = None  # the first factor is taken as it is, not multiplied by one
         base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        while True:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def _invert(self) -> "Expr":
         """Reciprocal; defined only for c * exp(...) monomials."""
@@ -812,27 +812,37 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
         if not isinstance(key, (Sym, Jet)):
             raise TypeError("substitution keys must be symbol or jet atoms")
         table[key] = as_expr(val)
-    images: dict = {}  # (atom, power) -> image ** power, filled per call
+    return _substitute(e, lambda a, p: table[a] ** p if a in table else None)
+
+
+def _substitute(e: Expr, power) -> Expr:
+    """``substitute`` where power(a, p) is the image of a^p for a Sym or Jet
+    atom a, or None where a stays.  It is asked once per (atom, exponent) in
+    a call, so a caller may keep the powers across calls; function atoms are
+    rebuilt from their substituted arguments in every call."""
+    images: dict = {}  # (atom, exponent) -> its image, None where it stays
     groups: dict = {}  # product of the image denominators -> numerators over it
     for mono, c in e._terms:
         kept = []
         factors = []
         den = 1
-        for a, p in mono:
-            if not (isinstance(a, Fn) or a in table):
-                kept.append((a, p))
-                continue
-            image = images.get((a, p))
-            if image is None:
+        for ap in mono:
+            image = images.get(ap, False)
+            if image is False:
+                a, p = ap
                 if isinstance(a, Fn):
-                    arg = substitute(a.arg, table)
+                    arg = _substitute(a.arg, power)
                     try:
                         base = fn_apply(a.head, arg)
                     except UnsupportedExpressionError as exc:  # ln of a constant <= 0
                         raise UnsupportedExpressionError(f"{a} becomes {exc}") from exc
+                    image = base**p
                 else:
-                    base = table[a]
-                image = images[a, p] = base**p
+                    image = power(a, p)
+                images[ap] = image
+            if image is None:
+                kept.append(ap)
+                continue
             factors.append(image._terms)
             den *= image._den
         coeffs = _group(groups, den)
@@ -1181,6 +1191,8 @@ def parse(text: str) -> Expr:
     Grammar: sums of terms, terms are products of factors with division
     only by integer literals, factors are bases with an optional integer
     exponent, bases are integers, symbols, jets ``name[i,j]``, function
-    applications, or parenthesized expressions.
+    applications, or parenthesized expressions.  A sign may start only an
+    expression (the input, a parenthesized group, a function argument) or
+    an exponent, so ``xi+-1`` and ``xi*-1`` are errors and ``xi+(-1)`` is not.
     """
     return _Parser(text).parse()

@@ -9,6 +9,8 @@ t, so every jet u[i,j] with i >= 2 rewrites to u[i-2,j+2] until i <= 1.
 ``reduce_to_solutions`` applies those rewrites; ``total_derivative`` acts in
 the full jet space; ``restricted_derivative`` is the total derivative
 evaluated on solutions and is only defined on already-reduced expressions.
+It is one derivation pass that sends each jet straight to the reduced form
+of its shift, so no principal jet is made only to be substituted away.
 """
 
 from __future__ import annotations
@@ -125,6 +127,11 @@ def total_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
     shifted along the axis; function atoms differentiate their argument
     the same way (chain rule).
     """
+    return _derive_along(e, frame, axis, as_expr)
+
+
+def _derive_along(e: Expr, frame: Frame, axis: int, shifted_image) -> Expr:
+    """The derivation along the axis that sends a jet to shifted_image of its shift."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     check_frame(e, frame)
@@ -132,22 +139,25 @@ def total_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
 
     def base_derivative(a) -> Expr:
         if isinstance(a, Jet):
-            return as_expr(a.shifted(axis))
+            return shifted_image(a.shifted(axis))
         return Expr.one() if a == sym else Expr.zero()
 
     return _derive(e, base_derivative)
 
 
 def restricted_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
-    """Total derivative evaluated on solutions.
+    """Total derivative evaluated on solutions, in one pass.
 
     Requires e to be reduced already, so that the result is again the
-    restriction of a well-defined differential function.
+    restriction of a well-defined differential function.  Each jet goes
+    straight to the reduced form of its shift, as reduction commutes with D.
     """
     for a in e.base_atoms():
         if isinstance(a, Jet) and a.var == frame.dependent and frame.is_principal(a):
             raise PrincipalDerivativeError(a)
-    return reduce_to_solutions(total_derivative(e, frame, axis), frame)
+    return _derive_along(
+        e, frame, axis, lambda s: _on_solutions(s, frame) if frame.is_principal(s) else as_expr(s)
+    )
 
 
 def equation_expression(frame: Frame) -> Expr:
@@ -162,15 +172,22 @@ def euler_operator(lagrangian: Expr, frame: Frame) -> Expr:
     """Variational derivative sum((-D1)^i (-D2)^j d/d(jet i,j)) applied to L.
 
     Computed over the jets actually present, in the full jet space.  The
-    result annihilates exactly the total divergences.
+    result annihilates exactly the total divergences.  D1 and D2 commute, so
+    it is taken in Horner form, one total derivative per level of a sum.
     """
     check_frame(lagrangian, frame)
-    parts = []
+    rows: dict = {}  # j -> {i: dL/d(jet i,j)}
     for a in sorted(lagrangian.jets(frame.dependent), key=lambda j: j.sort_key):
-        term = diff_partial(lagrangian, a)
-        for _ in range(a.i):
-            term = total_derivative(term, frame, 0)
-        for _ in range(a.j):
-            term = total_derivative(term, frame, 1)
-        parts.append(-term if (a.i + a.j) % 2 else term)
-    return Expr._sum(parts)
+        rows.setdefault(a.j, {})[a.i] = diff_partial(lagrangian, a)
+    if not rows:
+        return Expr.zero()
+    return _horner({j: _horner(row, frame, 0) for j, row in rows.items()}, frame, 1)
+
+
+def _horner(coefficients: dict, frame: Frame, axis: int) -> Expr:
+    """The sum over n of (-D)^n coefficients[n], as c0 - D(c1 - D(c2 - ...))."""
+    top = max(coefficients)
+    out = coefficients[top]
+    for n in range(top - 1, -1, -1):
+        out = coefficients.get(n, Expr.zero()) - total_derivative(out, frame, axis)
+    return out

@@ -31,17 +31,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .expr import Expr, Jet, Sym, as_expr, substitute
+from .expr import Expr, Sym, _substitute, as_expr
 from .jets import LIGHTCONE, SPACETIME, Frame, check_frame, reduce_to_solutions
 from .conservation import Characteristic, Current
 
 HALF = Fraction(1, 2)
 
 
-# lru_cache only because perfbench/run.py calls cache_clear() and cache_info() on both.
+_T, _X, _XI, _ETA = (as_expr(Sym(name)) for name in ("t", "x", "xi", "eta"))
+
+
+# Each power of an atom's image is built once per process and kept here;
+# perfbench/run.py calls cache_clear() and cache_info() on both caches.
 @lru_cache(maxsize=None)
-def _spacetime_image(i: int, j: int) -> Expr:
-    """Reduced space-time form of the light-cone jet w[i,j], min(i,j) = 0."""
+def _spacetime_image(key, p: int = 1) -> Expr:
+    """The p-th power of the reduced space-time form of a light-cone atom:
+    the coordinate named key, or the jet w[i,j], min(i,j) = 0, for key (i, j)."""
+    if p > 1:
+        return _spacetime_image(key) ** p
+    if key == "xi":
+        return _X + _T
+    if key == "eta":
+        return _X - _T
+    i, j = key
     if i and j:
         raise ValueError("mixed light-cone jets have no image; reduce first")
     n = i + j
@@ -52,8 +64,16 @@ def _spacetime_image(i: int, j: int) -> Expr:
 
 
 @lru_cache(maxsize=None)
-def _lightcone_image(i: int, j: int) -> Expr:
-    """Reduced light-cone form of the space-time jet u[i,j], i <= 1."""
+def _lightcone_image(key, p: int = 1) -> Expr:
+    """The p-th power of the reduced light-cone form of a space-time atom:
+    the coordinate named key, or the jet u[i,j], i <= 1, for key (i, j)."""
+    if p > 1:
+        return _lightcone_image(key) ** p
+    if key == "t":
+        return HALF * (_XI - _ETA)
+    if key == "x":
+        return HALF * (_XI + _ETA)
+    i, j = key
     if i > 1:
         raise ValueError("principal space-time jets have no image; reduce first")
     n = i + j
@@ -63,24 +83,18 @@ def _lightcone_image(i: int, j: int) -> Expr:
     return f - g if i else f + g
 
 
-_T, _X, _XI, _ETA = (as_expr(Sym(name)) for name in ("t", "x", "xi", "eta"))
-
-# source frame -> (image of a jet w[i,j] or u[i,j], images of the coordinates)
-_IMAGES = {
-    LIGHTCONE: (_spacetime_image, {Sym("xi"): _X + _T, Sym("eta"): _X - _T}),
-    SPACETIME: (
-        _lightcone_image, {Sym("t"): HALF * (_XI - _ETA), Sym("x"): HALF * (_XI + _ETA)}
-    ),
-}
+# source frame -> the image of an atom's power in the other frame
+_IMAGES = {LIGHTCONE: _spacetime_image, SPACETIME: _lightcone_image}
 
 
 def _pull(e: Expr, source: Frame) -> Expr:
     """Pull an expression in the source frame back to reduced jets of the other."""
     check_frame(e, source)
-    e = reduce_to_solutions(e, source)
-    jet_image, coordinates = _IMAGES[source]
-    jets = {a: jet_image(a.i, a.j) for a in e.base_atoms() if isinstance(a, Jet)}
-    return substitute(e, {**coordinates, **jets})
+    image = _IMAGES[source]
+    return _substitute(
+        reduce_to_solutions(e, source),
+        lambda a, p: image(a.name if type(a) is Sym else (a.i, a.j), p),
+    )
 
 
 def substitute_to_spacetime(e: Expr) -> Expr:

@@ -5,9 +5,12 @@ import io
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import jetlaw
 from jetlaw import LIGHTCONE, Current, conservation, parse, restricted_derivative
 from jetlaw.cli import _fuse_dash_values, build_parser, main
 from jetlaw.transform import current_to_spacetime
@@ -58,6 +61,27 @@ def test_reduction_to_ln_of_a_non_positive_constant_exits_2(capsys):
     code, out, err = run(capsys, "pullback", "--first", "ln(w[1,1] - 1)*w[0,1]", "--second", "0")
     assert (code, out) == (2, "")
     assert err == "error: ln(w[1,1] - 1) becomes ln of the non-positive constant -1\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "characteristic"])
+def test_a_divergence_is_taken_on_the_reduced_current(capsys, command):
+    # reduced first, ln(1 + w[1,1]) is ln(1) = 0 and ln(w[1,1] - 1) is ln(-1)
+    assert run(capsys, command, "--first", "ln(1 + w[1,1])*w[0,1]", "--second", "0")[0] == 0
+    code, out, err = run(capsys, command, "--first", "ln(w[1,1] - 1)*w[0,1]", "--second", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: ln(w[1,1] - 1) becomes ln of the non-positive constant -1\n"
+
+
+@pytest.mark.parametrize("text, position", [("xi+-1", 3), ("xi*-1", 3), ("--xi", 1)])
+def test_a_sign_after_an_operator_or_a_sign_exits_2(capsys, text, position):
+    # the README's grammar: a sign starts only an expression or a parenthesized group
+    code, out, err = run(capsys, "parse", "--expr", text)
+    assert (code, out, err) == (2, "", f"error: unexpected '-' (at position {position})\n")
+
+
+@pytest.mark.parametrize("text, printed", [("-1*xi", "-xi"), ("xi+(-1)", "xi - 1")])
+def test_a_sign_that_starts_an_expression_or_a_group_parses(capsys, text, printed):
+    assert run(capsys, "parse", "--expr", text) == (0, printed + "\n", "")
 
 
 def test_superscript_after_a_name_exits_2_with_position(capsys):
@@ -714,3 +738,34 @@ def test_a_setting_a_command_does_not_read_exits_2(capsys, command, flag):
         main([command, *_MINIMAL[command], flag, _SETTING_FLAGS[flag][0]])
     assert info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# --- a closed or full stdout ------------------------------------------------------
+
+
+def _cli_process(*argv, stdout):
+    """Run the CLI in a fresh interpreter with the given stdout; stderr is captured."""
+    package_root = os.path.dirname(os.path.dirname(jetlaw.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "jetlaw.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+
+
+def test_a_closed_stdout_ends_silently_with_exit_1():
+    # as in `jetlaw golden | true`: the reader is gone before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli_process("golden", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_full_stdout_ends_with_one_error_line_and_exit_1():
+    with open("/dev/full", "w") as full:
+        done = _cli_process("golden", stdout=full)
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write output: No space left on device\n")

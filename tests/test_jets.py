@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlaw.expr import Expr, Jet, Sym, as_expr, parse
+from jetlaw.expr import Expr, Jet, Sym, as_expr, diff_partial, fn_apply, parse
 from jetlaw.jets import (
     LIGHTCONE,
     SPACETIME,
@@ -251,3 +251,79 @@ def test_euler_annihilates_divergences():
                 b = b + parse(rng.choice(names)) * parse(rng.choice(names)) * rng.randint(-3, 3)
             div = total_derivative(a, frame, 0) + total_derivative(b, frame, 1)
             assert euler_operator(div, frame) == 0
+
+
+# --- one-pass restricted derivatives and the Horner-form Euler operator ----------
+
+
+def _jets_up_to(frame, order, reduced):
+    """The frame's jets of order at most order, only the non-principal ones if reduced."""
+    jets = [frame.jet(i, n - i) for n in range(order + 1) for i in range(n + 1)]
+    return [a for a in jets if not (reduced and frame.is_principal(a))]
+
+
+@st.composite
+def expressions(draw, frame, jets):
+    """Sums of up to three terms: a rational times up to three of the jets and
+    symbols, times up to two exp/sin/cos factors of a multiple of a jet plus
+    a jet or symbol."""
+    atoms = st.sampled_from(jets + [frame.symbol(0), frame.symbol(1)])
+    e = Expr.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = as_expr(draw(st.fractions(
+            min_value=Fraction(-9), max_value=Fraction(9), max_denominator=4)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * as_expr(draw(atoms))
+        for _ in range(draw(st.integers(0, 2))):
+            arg = draw(st.integers(-2, 2)) * as_expr(draw(st.sampled_from(jets)))
+            arg = arg + as_expr(draw(atoms))
+            term = term * fn_apply(draw(st.sampled_from(["exp", "sin", "cos"])), arg)
+        e = e + term
+    return e
+
+
+frames = st.sampled_from([LIGHTCONE, SPACETIME])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_restricted_derivative_is_the_reduced_total_derivative(data):
+    frame = data.draw(frames)
+    e = data.draw(expressions(frame, _jets_up_to(frame, 4, reduced=True)))
+    for axis in (0, 1):
+        full = reduce_to_solutions(total_derivative(e, frame, axis), frame)
+        assert restricted_derivative(e, frame, axis) == full
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_restricted_derivative_refuses_a_principal_jet_anywhere(data):
+    frame = data.draw(frames)
+    e = data.draw(expressions(frame, _jets_up_to(frame, 3, reduced=True)))
+    principal = data.draw(st.sampled_from(
+        [a for a in _jets_up_to(frame, 4, reduced=False) if frame.is_principal(a)]))
+    inside_a_function = data.draw(st.booleans())
+    factor = fn_apply("exp", as_expr(principal)) if inside_a_function else as_expr(principal)
+    with pytest.raises(PrincipalDerivativeError) as err:
+        restricted_derivative(e + factor, frame, data.draw(st.sampled_from([0, 1])))
+    assert err.value.jet is principal
+
+
+def _euler_by_definition(lagrangian, frame):
+    """The sum over jets (i, j) of (-D1)^i (-D2)^j dL/d(jet i,j), one jet at a time."""
+    out = Expr.zero()
+    for a in lagrangian.jets(frame.dependent):
+        term = diff_partial(lagrangian, a)
+        for axis, n in ((0, a.i), (1, a.j)):
+            for _ in range(n):
+                term = -total_derivative(term, frame, axis)
+        out = out + term
+    return out
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_euler_operator_equals_its_per_jet_definition(data):
+    frame = data.draw(frames)
+    lagrangian = data.draw(expressions(frame, _jets_up_to(frame, 3, reduced=False)))
+    assert euler_operator(lagrangian, frame) == _euler_by_definition(lagrangian, frame)

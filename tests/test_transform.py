@@ -1,6 +1,8 @@
 """Exact translation of expressions, currents, and multipliers between frames."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlaw import transform
-from jetlaw.expr import Expr, as_expr, fn_apply, is_zero, parse
+from jetlaw.expr import Expr, Fn, Jet, as_expr, fn_apply, is_zero, parse, substitute
 from jetlaw.jets import LIGHTCONE, SPACETIME, reduce_to_solutions, restricted_derivative
 from jetlaw.conservation import (
     CanonicalCurrent,
@@ -318,3 +320,38 @@ def test_image_caches_keep_the_benchmark_hooks():
     # perfbench/run.py clears and reads both caches through these attributes
     for image in (transform._spacetime_image, transform._lightcone_image):
         assert callable(image.cache_clear) and callable(image.cache_info)
+
+
+# --- the cached powers of the atom images ------------------------------------------
+
+
+def _clear_image_caches():
+    transform._spacetime_image.cache_clear()
+    transform._lightcone_image.cache_clear()
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_frame_change_does_not_depend_on_the_image_caches(data):
+    for source, pull in ((LIGHTCONE, substitute_to_spacetime), (SPACETIME, substitute_to_lightcone)):
+        e = data.draw(reduced_expressions(source)) ** data.draw(st.integers(1, 3))
+        first = pull(e)
+        assert pull(e) == first
+        _clear_image_caches()
+        assert pull(e) == first
+        # the public substitute, which builds every power in the call
+        images = {a: pull(as_expr(a)) for a in e.base_atoms()}
+        assert substitute(e, images) == first
+
+
+def test_the_image_caches_keep_no_atom_of_the_caller():
+    # the caller's jets are looked up by their indices, and function atoms,
+    # the caller's and their images alike, are rebuilt in every call
+    source = Fn("exp", parse("17*w[0,41] + 13*eta^5"))
+    expression = as_expr(source) ** 2 * parse("w[0,41]^3 + xi^4")
+    image = substitute_to_spacetime(expression)
+    refs = [weakref.ref(a) for a in (source, Jet("w", 0, 41), *image.fn_atoms())]
+    assert len(refs) == 3
+    del source, expression, image
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
