@@ -51,10 +51,6 @@ from .conservation import (
     characteristic,
     characteristic_canonical,
     characteristic_with_remainder,
-    current_from_json,
-    current_to_json,
-    characteristic_from_json,
-    characteristic_to_json,
     divergence,
     is_characteristic,
     is_trivial,
@@ -62,7 +58,6 @@ from .conservation import (
     spacetime_remainder,
     trivial_witness,
     verify_current,
-    witness_to_json,
 )
 from .config import Config, ConfigError
 

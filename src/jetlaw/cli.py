@@ -3,9 +3,9 @@
 Exit codes: 0 when the requested checks pass, 1 when a check comes back
 false (including non-conserved inputs) or stdout cannot be written, 2 for
 unusable input: parse errors, frame mismatches, bad configuration,
-unsupported expression classes.  JSON output mirrors the serialized
-documents, so a command's output can be piped back into another command
-via --doc -.
+unsupported expression classes.  With --format json a command prints one
+JSON document; this module alone reads and writes them (``_DOCUMENTS``),
+so a current or characteristic can be piped back in via --doc -.
 
 Each command is declared once, in ``build_parser``, with its handler and
 only the options it reads: --config and --format everywhere, --samples
@@ -29,16 +29,11 @@ from .conservation import (
     Current,
     NotConservedError,
     characteristic,
-    current_from_json,
-    current_to_json,
-    characteristic_from_json,
-    characteristic_to_json,
     is_characteristic,
     is_trivial,
     normalize_current,
     trivial_witness,
     verify_current,
-    witness_to_json,
 )
 from .config import KEYS, Config, resolve
 
@@ -58,15 +53,23 @@ _SETTINGS = {
     "--ref-point": {"help": "normalization base point, atom=value pairs"},
 }
 _SAMPLED = ("--samples", "--seed")
-# document kind -> (record, its reader, its inline fields)
+# document kind -> (record, its expression fields); a document also names
+# its kind and frame, and the fields are the record's inline flags too
 _DOCUMENTS = {
-    "current": (Current, current_from_json, ("first", "second")),
-    "characteristic": (Characteristic, characteristic_from_json, ("multiplier",)),
+    "current": (Current, ("first", "second")),
+    "characteristic": (Characteristic, ("multiplier",)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own drops an OSError, which would make help that was
+        # never written exit 0; main reports it as for any other output
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jetlaw",
         description="conservation-law calculus for the 1+1D wave equation",
     )
@@ -80,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         if document:
             sub.add_argument("--frame", choices=("lightcone", "spacetime"),
                              help="frame of inline input (default lightcone)")
-            for field in _DOCUMENTS[document][2]:
+            for field in _DOCUMENTS[document][1]:
                 sub.add_argument(f"--{field}", help=f"{field} expression of the inline {document}")
             sub.add_argument("--doc", help=f"JSON {document} document, path or - for stdin")
         sub.add_argument("--config", help="key=value configuration file")
@@ -132,17 +135,42 @@ def _read_doc(spec: str) -> str:
         raise InputError(f"cannot read document {spec}: {exc}") from exc
 
 
+def _from_document(kind: str, text: str):
+    """The record in text, a JSON document of kind.
+
+    A missing field raises KeyError, any other wrong shape ValueError, as
+    does a "kind" that names another document (a missing one is accepted).
+    """
+    record, fields = _DOCUMENTS[kind]
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, found {type(doc).__name__}")
+    if doc.get("kind", kind) != kind:
+        raise ValueError(f"expected a {kind!r} document, not {doc['kind']!r}")
+    for name in ("frame", *fields):
+        if not isinstance(doc[name], str):
+            raise ValueError(f"field {name!r} must be a string, not {type(doc[name]).__name__}")
+    return record(Frame.from_name(doc["frame"]), *(parse(doc[name]) for name in fields))
+
+
+def _to_document(kind: str, record) -> dict:
+    """The JSON document of a record of kind, as _from_document reads it."""
+    fields = _DOCUMENTS[kind][1]
+    return {"kind": kind, "frame": record.frame.name,
+            **{name: str(getattr(record, name)) for name in fields}}
+
+
 def _load(args):
     """The command's current or characteristic, given by --doc or inline
     by its fields and --frame; giving both is an error, not a choice."""
     kind = args.document
-    record, from_json, fields = _DOCUMENTS[kind]
+    record, fields = _DOCUMENTS[kind]
     inline = [f"--{name}" for name in (*fields, "frame") if getattr(args, name) is not None]
     if args.doc:
         if inline:
             raise InputError(f"--doc cannot be combined with {', '.join(inline)}")
         try:
-            return from_json(_read_doc(args.doc))
+            return _from_document(kind, _read_doc(args.doc))
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad {kind} document: {exc}") from exc
     if any(getattr(args, name) is None for name in fields):
@@ -171,7 +199,7 @@ def _pulled(current: Current, frame: Frame | None = None) -> Current:
 
 def _emit(config: Config, lines, doc) -> None:
     if config.format == "json":
-        print(doc if isinstance(doc, str) else json.dumps(doc, allow_nan=False))
+        print(json.dumps(doc, allow_nan=False))
     else:
         for line in lines:
             print(line)
@@ -202,7 +230,7 @@ def _cmd_normalize(args, config: Config) -> int:
     _emit(
         config,
         [f"first: {canonical.first}", f"second: {canonical.second}"],
-        current_to_json(canonical),
+        _to_document("current", canonical),
     )
     return 0
 
@@ -211,9 +239,7 @@ def _cmd_characteristic(args, config: Config) -> int:
     lam = characteristic(_load(args), samples=config.samples, seed=config.seed)
     trivial = is_zero(lam.multiplier, samples=config.samples, seed=config.seed)
     text = str(lam.multiplier) + (" (trivial)" if trivial else "")
-    doc = json.loads(characteristic_to_json(lam))
-    doc["trivial"] = trivial
-    _emit(config, [text], doc)
+    _emit(config, [text], {**_to_document("characteristic", lam), "trivial": trivial})
     return 0
 
 
@@ -247,7 +273,8 @@ def _cmd_witness(args, config: Config) -> int:
             f"g-part: {witness.g_part}",
             f"constant: {witness.constant}",
         ],
-        witness_to_json(witness),
+        {"kind": "witness", "frame": "lightcone", "f_part": str(witness.f_part),
+         "g_part": str(witness.g_part), "constant": str(witness.constant)},
     )
     return 0
 
@@ -267,7 +294,7 @@ def _cmd_pullback(args, config: Config) -> int:
     _emit(
         config,
         [f"frame: {moved.frame}", f"first: {moved.first}", f"second: {moved.second}"],
-        current_to_json(moved),
+        _to_document("current", moved),
     )
     return 0
 
@@ -331,9 +358,6 @@ def _cmd_golden(args, config: Config) -> int:
     return 0 if good == len(results) else 1
 
 
-_PARSER = build_parser()
-
-
 def _takes_value(token: str) -> bool:
     # every jetlaw option but --help takes a value
     return token.startswith("--") and "=" not in token and token not in ("--", "--help")
@@ -354,7 +378,8 @@ def _fuse_dash_values(argv):
 def main(argv=None) -> int:
     try:
         try:
-            args = _PARSER.parse_args(_fuse_dash_values(sys.argv[1:] if argv is None else argv))
+            argv = sys.argv[1:] if argv is None else argv
+            args = build_parser().parse_args(_fuse_dash_values(argv))
             return args.handler(args, _config_from(args))
         finally:
             sys.stdout.flush()  # so that a closed or full stdout fails here, not at exit

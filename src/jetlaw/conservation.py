@@ -19,7 +19,6 @@ on xi and the xi-derivatives w[k,0] (k >= 1).
 
 from __future__ import annotations
 
-import json
 from types import MappingProxyType
 from typing import Mapping
 
@@ -33,12 +32,10 @@ from .expr import (
     diff_partial,
     integrate_univar,
     is_zero,
-    parse,
 )
 from .jets import (
     LIGHTCONE,
     SPACETIME,
-    Frame,
     check_frame,
     equation_expression,
     euler_operator,
@@ -425,65 +422,3 @@ def spacetime_remainder(current: Current) -> tuple[Expr, Expr]:
     lam, remainder = characteristic_with_remainder(current)
     return lam.multiplier, remainder.second
 
-
-# ---------------------------------------------------------------------------
-# JSON documents
-
-
-def current_to_json(current: Current) -> str:
-    doc = {
-        "kind": "current",
-        "frame": current.frame.name,
-        "first": str(current.first),
-        "second": str(current.second),
-    }
-    return json.dumps(doc)
-
-
-def _document(text: str, kind: str, *fields: str) -> dict:
-    """The JSON object in text; each named field must hold a string.
-
-    A missing field raises KeyError, any other wrong shape ValueError, as
-    does a "kind" that names another document (a missing one is accepted).
-    """
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError(f"expected a JSON object, found {type(doc).__name__}")
-    if doc.get("kind", kind) != kind:
-        raise ValueError(f"expected a {kind!r} document, not {doc['kind']!r}")
-    for name in fields:
-        if not isinstance(doc[name], str):
-            raise ValueError(f"field {name!r} must be a string, not {type(doc[name]).__name__}")
-    return doc
-
-
-def current_from_json(text: str) -> Current:
-    doc = _document(text, "current", "frame", "first", "second")
-    frame = Frame.from_name(doc["frame"])
-    return Current(frame, parse(doc["first"]), parse(doc["second"]))
-
-
-def characteristic_to_json(characteristic: Characteristic) -> str:
-    doc = {
-        "kind": "characteristic",
-        "frame": characteristic.frame.name,
-        "multiplier": str(characteristic.multiplier),
-    }
-    return json.dumps(doc)
-
-
-def characteristic_from_json(text: str) -> Characteristic:
-    doc = _document(text, "characteristic", "frame", "multiplier")
-    frame = Frame.from_name(doc["frame"])
-    return Characteristic(frame, parse(doc["multiplier"]))
-
-
-def witness_to_json(witness: TrivialWitness) -> str:
-    doc = {
-        "kind": "witness",
-        "frame": "lightcone",
-        "f_part": str(witness.f_part),
-        "g_part": str(witness.g_part),
-        "constant": str(witness.constant),
-    }
-    return json.dumps(doc)

@@ -10,19 +10,17 @@ PUBLIC = [
     "SPACETIME", "Solution", "SolutionFormatError", "Sym",
     "TrivialWitness", "UnsupportedExpressionError", "UnsupportedIntegrandError",
     "ZeroVerdict", "as_expr", "characteristic", "characteristic_canonical",
-    "characteristic_from_json", "characteristic_to_json",
     "characteristic_to_lightcone", "characteristic_to_spacetime",
     "characteristic_with_remainder", "check_characteristic_numeric",
     "check_conservation", "check_frame", "config", "conservation",
-    "current_from_json", "current_to_json", "current_to_lightcone",
-    "current_to_spacetime", "diff_partial", "divergence", "equation_expression",
-    "euler_operator", "eval_jet", "evaluate_float", "expr", "fn_apply",
+    "current_to_lightcone", "current_to_spacetime", "diff_partial", "divergence",
+    "equation_expression", "euler_operator", "eval_jet", "evaluate_float", "expr", "fn_apply",
     "integrate_univar", "is_characteristic", "is_trivial", "is_zero", "jets",
     "normalize_current", "oracle", "parse", "parse_solution",
     "reduce_to_solutions", "restricted_derivative", "spacetime_remainder",
     "substitute", "substitute_to_lightcone", "substitute_to_spacetime",
     "total_derivative", "transform", "trivial_witness", "verify_current",
-    "witness_to_json", "zero_verdict",
+    "zero_verdict",
 ]
 
 

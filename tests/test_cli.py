@@ -1,19 +1,26 @@
 """End-to-end command-line checks driven through main(argv)."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetlaw
-from jetlaw import LIGHTCONE, Current, conservation, parse, restricted_derivative
+from jetlaw import LIGHTCONE, SPACETIME, Current, conservation, parse, restricted_derivative
 from jetlaw.cli import _fuse_dash_values, build_parser, main
 from jetlaw.transform import current_to_spacetime
+
+from test_acceptance import _random_canonical
 
 
 def run(capsys, *argv):
@@ -240,6 +247,34 @@ def test_pullback_json_round_trip(capsys, tmp_path):
     assert lines[0] == "frame: lightcone"
     assert lines[1] == "first: exp(2*w[0,2])"
     assert lines[2] == "second: 0"
+
+
+def _piped(writer, reader):
+    """The exit code and output of reader fed, by --doc -, the JSON document
+    that writer prints."""
+    with contextlib.redirect_stdout(io.StringIO()) as written:
+        assert main([*writer, "--format", "json"]) == 0
+    with mock.patch("sys.stdin", io.StringIO(written.getvalue())):
+        with contextlib.redirect_stdout(io.StringIO()) as read:
+            code = main([*reader, "--doc", "-"])
+    return code, read.getvalue()
+
+
+@given(st.integers(0, 10**6), st.sampled_from([LIGHTCONE, SPACETIME]))
+@settings(max_examples=50, deadline=None)
+def test_a_document_one_command_writes_is_read_back_by_the_next(seed, frame):
+    current = _random_canonical(random.Random(seed), seed)
+    if frame is SPACETIME:
+        current = current_to_spacetime(current)
+    doc = {"kind": "current", "frame": frame.name,
+           "first": str(current.first), "second": str(current.second)}
+    inline = ["--frame", frame.name, "--first", doc["first"], "--second", doc["second"]]
+    code, out = _piped(["pullback", *inline], ["pullback", "--format", "json"])
+    assert (code, json.loads(out)) == (0, doc)
+    assert _piped(["characteristic", *inline], ["is-characteristic", "--format", "text"]) == (
+        0, "characteristic: true\n")
+    assert _piped(["normalize", *inline], ["verify", "--format", "text"]) == (
+        0, "conserved: true\n")
 
 
 def _stdin_doc(capsys, monkeypatch, command, text):
@@ -767,5 +802,29 @@ def test_a_closed_stdout_ends_silently_with_exit_1():
 def test_a_full_stdout_ends_with_one_error_line_and_exit_1():
     with open("/dev/full", "w") as full:
         done = _cli_process("golden", stdout=full)
+    assert (done.returncode, done.stderr) == (
+        1, "error: cannot write output: No space left on device\n")
+
+
+# argparse writes help itself and drops a failed write, so help is checked apart
+_HELP = [["--help"], ["verify", "--help"]]
+
+
+@pytest.mark.parametrize("argv", _HELP, ids=" ".join)
+def test_help_to_a_closed_stdout_ends_silently_with_exit_1(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", _HELP, ids=" ".join)
+def test_help_to_a_full_stdout_ends_with_one_error_line_and_exit_1(argv):
+    with open("/dev/full", "w") as full:
+        done = _cli_process(*argv, stdout=full)
     assert (done.returncode, done.stderr) == (
         1, "error: cannot write output: No space left on device\n")

@@ -1,6 +1,5 @@
 """Currents: verification, canonical normalization, characteristics, triviality."""
 
-import json
 import random
 from fractions import Fraction
 
@@ -31,11 +30,7 @@ from jetlaw.conservation import (
     NotConservedError,
     characteristic,
     characteristic_canonical,
-    characteristic_from_json,
-    characteristic_to_json,
     characteristic_with_remainder,
-    current_from_json,
-    current_to_json,
     divergence,
     is_characteristic,
     is_trivial,
@@ -423,24 +418,8 @@ def test_spacetime_remainder_rejects_bad_input():
         spacetime_remainder(lc("-w[0,1]", "-w[1,0]"))
 
 
-# --- reference points and serialization ----------------------------------------
+# --- reference points -----------------------------------------------------------
 
 def test_parse_reference_point_gives_a_plain_mapping():
     point = parse_reference_point("xi=1/2,w[1,0]=3")
     assert point == {Sym("xi"): Fraction(1, 2), Jet("w", 1, 0): 3}
-
-
-def test_current_json_round_trip():
-    cur = lc("exp(2*w[0,2])", "-w[1,0]^2")
-    text = current_to_json(cur)
-    back = current_from_json(text)
-    assert back.frame is LIGHTCONE
-    assert back.first == cur.first and back.second == cur.second
-    doc = json.loads(text)
-    assert doc["kind"] == "current"
-
-
-def test_characteristic_json_round_trip():
-    ch = Characteristic(SPACETIME, parse("u[1,0]"))
-    back = characteristic_from_json(characteristic_to_json(ch))
-    assert back.frame is SPACETIME and back.multiplier == ch.multiplier
