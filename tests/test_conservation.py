@@ -1,5 +1,6 @@
 """Currents: verification, canonical normalization, characteristics, triviality."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from jetlaw.jets import (
     restricted_derivative,
     total_derivative,
 )
+from jetlaw.cli import _from_document, _to_document
 from jetlaw.config import parse_reference_point
 from jetlaw.conservation import (
     CanonicalCurrent,
@@ -423,3 +425,21 @@ def test_spacetime_remainder_rejects_bad_input():
 def test_parse_reference_point_gives_a_plain_mapping():
     point = parse_reference_point("xi=1/2,w[1,0]=3")
     assert point == {Sym("xi"): Fraction(1, 2), Jet("w", 1, 0): 3}
+
+
+# --- JSON documents, written and read by the CLI --------------------------------
+
+def test_current_json_round_trip():
+    cur = lc("exp(2*w[0,2])", "-w[1,0]^2")
+    text = json.dumps(_to_document("current", cur))
+    back = _from_document("current", text)
+    assert back.frame is LIGHTCONE
+    assert back.first == cur.first and back.second == cur.second
+    doc = json.loads(text)
+    assert doc["kind"] == "current"
+
+
+def test_characteristic_json_round_trip():
+    ch = Characteristic(SPACETIME, parse("u[1,0]"))
+    back = _from_document("characteristic", json.dumps(_to_document("characteristic", ch)))
+    assert back.frame is SPACETIME and back.multiplier == ch.multiplier
