@@ -35,7 +35,7 @@ from .conservation import (
     trivial_witness,
     verify_current,
 )
-from .config import KEYS, Config, resolve
+from .config import SETTINGS, Config, resolve
 
 # transform, oracle and golden are imported by the commands that use them,
 # so that the others start without loading them
@@ -45,14 +45,7 @@ class InputError(ValueError):
     """Bad command-line input; reported with exit code 2."""
 
 
-# the settings a command may be given, each on the commands that read it
-_SETTINGS = {
-    "--seed": {"type": int, "help": "seed for probabilistic zero tests"},
-    "--samples": {"type": int, "help": "sample count for zero tests"},
-    "--tolerance": {"type": float, "help": "numeric pass threshold"},
-    "--ref-point": {"help": "normalization base point, atom=value pairs"},
-}
-_SAMPLED = ("--samples", "--seed")
+_SAMPLED = ("samples", "seed")
 # document kind -> (record, its expression fields); a document also names
 # its kind and frame, and the fields are the record's inline flags too
 _DOCUMENTS = {
@@ -77,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, blurb, *settings, document=None):
         """A subcommand with its handler, the kind of document it reads
-        (by --doc or inline) if any, and the settings it reads."""
+        (by --doc or inline) if any, and the keys of the settings it reads
+        besides format, whose flags pass their text to the settings' readers."""
         sub = subs.add_parser(name, help=blurb)
         sub.set_defaults(handler=handler, document=document)
         if document:
@@ -87,9 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(f"--{field}", help=f"{field} expression of the inline {document}")
             sub.add_argument("--doc", help=f"JSON {document} document, path or - for stdin")
         sub.add_argument("--config", help="key=value configuration file")
-        sub.add_argument("--format", choices=("text", "json"), help="output format")
-        for option in settings:
-            sub.add_argument(option, **_SETTINGS[option])
+        for key in ("format", *settings):
+            sub.add_argument("--" + key.replace("_", "-"), help=SETTINGS[key][3])
         return sub
 
     p = command("parse", _cmd_parse, "parse and reprint in canonical form")
@@ -97,18 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     command("verify", _cmd_verify, "check that the divergence vanishes on solutions",
             *_SAMPLED, document="current")
     command("normalize", _cmd_normalize, "bring a light-cone current to canonical shape",
-            *_SAMPLED, "--ref-point", document="current")
+            *_SAMPLED, "ref_point", document="current")
     command("characteristic", _cmd_characteristic, "compute the conservation-law multiplier",
             *_SAMPLED, document="current")
     command("is-trivial", _cmd_is_trivial, "decide equivalence to the zero current",
             *_SAMPLED, document="current")
     command("witness", _cmd_witness, "produce the triviality certificate",
-            *_SAMPLED, "--ref-point", document="current")
+            *_SAMPLED, "ref_point", document="current")
     command("pullback", _cmd_pullback, "transform a current to the other frame", document="current")
     command("is-characteristic", _cmd_is_characteristic, "Euler-operator multiplier test",
             *_SAMPLED, document="characteristic")
     p = command("numcheck", _cmd_numcheck, "numeric contour-flux conservation check",
-                "--tolerance", document="current")
+                "tolerance", document="current")
     p.add_argument(
         "--solution",
         required=True,
@@ -122,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> Config:
     # a command without a setting's flag leaves it to the file, environment or default
-    return resolve(file_path=args.config, **{key: getattr(args, key, None) for key in KEYS})
+    return resolve(file_path=args.config, **{key: getattr(args, key, None) for key in SETTINGS})
 
 
 def _read_doc(spec: str) -> str:
@@ -169,8 +162,9 @@ def _load(args):
     if args.doc:
         if inline:
             raise InputError(f"--doc cannot be combined with {', '.join(inline)}")
+        text = _read_doc(args.doc)  # a file that cannot be read is no bad document
         try:
-            return _from_document(kind, _read_doc(args.doc))
+            return _from_document(kind, text)
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad {kind} document: {exc}") from exc
     if any(getattr(args, name) is None for name in fields):
@@ -205,6 +199,19 @@ def _emit(config: Config, lines, doc) -> None:
             print(line)
 
 
+def _verdict(config: Config, key: str, ok: bool, doc: dict) -> int:
+    """Print a yes-or-no answer as "<key>: true|false", or as doc with the
+    answer under key; the exit code is 0 for yes and 1 for no."""
+    _emit(config, [f"{key}: {str(ok).lower()}"], {**doc, key: ok})
+    return 0 if ok else 1
+
+
+def _canonical(args, config: Config) -> Current:
+    """The command's current, pulled to the light-cone frame and normalized."""
+    return normalize_current(_pulled(_load(args), LIGHTCONE), config.reference_point,
+                             samples=config.samples, seed=config.seed)
+
+
 def _cmd_parse(args, config: Config) -> int:
     text = str(parse(args.expr))
     _emit(config, [text], {"kind": "expression", "text": text})
@@ -214,19 +221,11 @@ def _cmd_parse(args, config: Config) -> int:
 def _cmd_verify(args, config: Config) -> int:
     current = _load(args)
     ok = verify_current(current, samples=config.samples, seed=config.seed)
-    _emit(
-        config,
-        [f"conserved: {str(ok).lower()}"],
-        {"kind": "verify", "frame": current.frame.name, "conserved": ok},
-    )
-    return 0 if ok else 1
+    return _verdict(config, "conserved", ok, {"kind": "verify", "frame": current.frame.name})
 
 
 def _cmd_normalize(args, config: Config) -> int:
-    current = _pulled(_load(args), LIGHTCONE)
-    canonical = normalize_current(
-        current, config.reference_point, samples=config.samples, seed=config.seed
-    )
+    canonical = _canonical(args, config)
     _emit(
         config,
         [f"first: {canonical.first}", f"second: {canonical.second}"],
@@ -244,20 +243,12 @@ def _cmd_characteristic(args, config: Config) -> int:
 
 
 def _cmd_is_trivial(args, config: Config) -> int:
-    verdict = is_trivial(_load(args), samples=config.samples, seed=config.seed)
-    _emit(
-        config,
-        [f"trivial: {str(verdict).lower()}"],
-        {"kind": "triviality", "trivial": verdict},
-    )
-    return 0 if verdict else 1
+    trivial = is_trivial(_load(args), samples=config.samples, seed=config.seed)
+    return _verdict(config, "trivial", trivial, {"kind": "triviality"})
 
 
 def _cmd_witness(args, config: Config) -> int:
-    current = _pulled(_load(args), LIGHTCONE)
-    canonical = normalize_current(
-        current, config.reference_point, samples=config.samples, seed=config.seed
-    )
+    canonical = _canonical(args, config)
     if not is_trivial(canonical, samples=config.samples, seed=config.seed):
         _emit(
             config,
@@ -281,12 +272,7 @@ def _cmd_witness(args, config: Config) -> int:
 
 def _cmd_is_characteristic(args, config: Config) -> int:
     ok = is_characteristic(_load(args), samples=config.samples, seed=config.seed)
-    _emit(
-        config,
-        [f"characteristic: {str(ok).lower()}"],
-        {"kind": "verdict", "characteristic": ok},
-    )
-    return 0 if ok else 1
+    return _verdict(config, "characteristic", ok, {"kind": "verdict"})
 
 
 def _cmd_pullback(args, config: Config) -> int:

@@ -17,34 +17,6 @@ class ConfigError(ValueError):
     """A configuration source holds an unusable key or value."""
 
 
-class Config(_Record):
-    """The resolved settings; reference_point maps atoms to Fractions.
-
-    The constructor stores a read-only copy of the reference point, so no
-    two configs share a mapping and none changes after it is made.
-    """
-
-    __slots__ = ("seed", "samples", "tolerance", "format", "reference_point")
-    _defaults = {
-        "seed": 42,
-        "samples": 8,
-        "tolerance": 1e-8,
-        "format": "text",
-        "reference_point": MappingProxyType({}),
-    }
-
-    def __post_init__(self):
-        object.__setattr__(self, "reference_point", MappingProxyType(dict(self.reference_point)))
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied; a dict can
-        return Config, (self.seed, self.samples, self.tolerance, self.format, dict(self.reference_point))
-
-
-ENV_PREFIX = "JETLAW_"
-KEYS = ("seed", "samples", "tolerance", "format", "ref_point")
-
-
 def parse_reference_point(text: str) -> dict:
     """Parse 'atom=value' pairs joined by commas at the top level into an
     {atom: Fraction} dict; an empty text gives the origin, {}.  The atoms
@@ -90,31 +62,69 @@ def parse_reference_point(text: str) -> dict:
     return values
 
 
+def _positive_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError("sample count must be positive")
+    return count
+
+
+def _finite_tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):  # an infinite tolerance passes every check
+        raise ValueError("tolerance must be positive and finite")
+    return value
+
+
+def _output_format(text: str) -> str:
+    if text not in ("text", "json"):
+        raise ValueError("format must be text or json")
+    return text
+
+
+# the one declaration of every setting: file key -> (Config field, default,
+# reader of the text value, help).  The key is also the JETLAW_<KEY>
+# variable and, dashed, the --<key> flag of the commands that read it.
+SETTINGS = {
+    "seed": ("seed", 42, int, "seed for probabilistic zero tests"),
+    "samples": ("samples", 8, _positive_count, "sample count for zero tests"),
+    "tolerance": ("tolerance", 1e-8, _finite_tolerance, "numeric pass threshold"),
+    "format": ("format", "text", _output_format, "output format, text or json"),
+    "ref_point": ("reference_point", MappingProxyType({}), parse_reference_point,
+                  "normalization base point, atom=value pairs"),
+}
+
+
+class Config(_Record):
+    """The resolved settings; reference_point maps atoms to Fractions.
+
+    The constructor stores a read-only copy of the reference point, so no
+    two configs share a mapping and none changes after it is made.
+    """
+
+    __slots__ = tuple(field for field, *_ in SETTINGS.values())
+    _defaults = {field: default for field, default, *_ in SETTINGS.values()}
+
+    def __post_init__(self):
+        object.__setattr__(self, "reference_point", MappingProxyType(dict(self.reference_point)))
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; a dict can
+        fields = dict(zip(self._fields, self._values()), reference_point=dict(self.reference_point))
+        return Config, tuple(fields.values())
+
+
 def _apply(config: Config, key: str, raw: str, origin: str) -> Config:
+    if key not in SETTINGS:
+        raise ConfigError(f"{origin}: unknown key {key!r}")
+    field, _, read, _ = SETTINGS[key]
     try:
-        if key == "seed":
-            return config._replace(seed=int(raw))
-        if key == "samples":
-            count = int(raw)
-            if count < 1:
-                raise ValueError("sample count must be positive")
-            return config._replace(samples=count)
-        if key == "tolerance":
-            value = float(raw)
-            if not 0 < value < float("inf"):  # an infinite tolerance passes every check
-                raise ValueError("tolerance must be positive and finite")
-            return config._replace(tolerance=value)
-        if key == "format":
-            if raw not in ("text", "json"):
-                raise ValueError("format must be text or json")
-            return config._replace(format=raw)
-        if key == "ref_point":
-            return config._replace(reference_point=parse_reference_point(raw))
+        value = read(raw)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{origin}: bad value for {key}: {exc}") from exc
-    raise ConfigError(f"{origin}: unknown key {key!r}")
+    return config._replace(**{field: value})
 
 
 def load_file(config: Config, path: str) -> Config:
@@ -130,18 +140,18 @@ def load_file(config: Config, path: str) -> Config:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in KEYS:
-            raise ConfigError(f"{path}:{number}: expected <key>=<value> with key in {KEYS}")
+        if not sep or key not in SETTINGS:
+            raise ConfigError(f"{path}:{number}: expected <key>=<value> with key in {tuple(SETTINGS)}")
         config = _apply(config, key, value.strip(), f"{path}:{number}")
     return config
 
 
 def load_env(config: Config, environ=None) -> Config:
     environ = os.environ if environ is None else environ
-    for key in KEYS:
-        raw = environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            config = _apply(config, key, raw, ENV_PREFIX + key.upper())
+    for key in SETTINGS:
+        name = "JETLAW_" + key.upper()
+        if name in environ:
+            config = _apply(config, key, environ[name], name)
     return config
 
 

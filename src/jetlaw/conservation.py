@@ -19,8 +19,8 @@ on xi and the xi-derivatives w[k,0] (k >= 1).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping
 
 from .expr import (
     Expr,

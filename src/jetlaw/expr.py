@@ -63,18 +63,14 @@ from __future__ import annotations
 
 import math
 import operator
-import random
-import string
 import threading
 import weakref
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Union
 
 SYMBOL_NAMES = ("xi", "eta", "t", "x")
 FUNCTION_NAMES = ("exp", "sin", "cos", "ln")
-
-Rational = Union[int, Fraction]
 
 
 class ParseError(ValueError):
@@ -281,8 +277,6 @@ class Fn(_Atom):
         return f"{self.head}({self.arg})"
 
 
-Atom = Union[Sym, Jet, Fn]
-
 # A monomial is a tuple of (atom, exponent) pairs, ascending in atom sort
 # key, exponents >= 1.  The empty tuple is the constant monomial.
 Mono = tuple
@@ -343,7 +337,7 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 def _mono_mul_fused(m1: Mono, m2: Mono) -> Mono:
     """The product through a power dict and a sort, fusing exp factors."""
-    powers: dict[Atom, int] = {}
+    powers: dict[Sym | Jet | Fn, int] = {}
     exp_arg = None
     for a, p in (*m1, *m2):
         if isinstance(a, Fn) and a.head == "exp":
@@ -478,7 +472,7 @@ class Expr:
         return _ONE
 
     @staticmethod
-    def from_rational(q: Rational) -> "Expr":
+    def from_rational(q: int | Fraction) -> "Expr":
         if not isinstance(q, int):
             q = Fraction(q)
         if q == 0:
@@ -486,7 +480,7 @@ class Expr:
         return Expr((((), q.numerator),), q.denominator)
 
     @staticmethod
-    def from_atom(a: Atom) -> "Expr":
+    def from_atom(a: Sym | Jet | Fn) -> "Expr":
         return Expr(((((a, 1),), 1),))
 
     # -- inspection --------------------------------------------------------
@@ -967,6 +961,8 @@ def zero_verdict(e: Expr, *, samples: int = 8, seed: int = 42) -> ZeroVerdict:
         return ZeroVerdict(True, False)
     if _decidable(e):
         return ZeroVerdict(False, False)
+    import random  # only a sampled zero test draws points, as only it needs mpmath
+
     mpmath, _ = _mp()
     rng = random.Random(seed)
     atoms = sorted(e.base_atoms(), key=lambda a: a.sort_key)
@@ -1041,8 +1037,8 @@ def evaluate_float(e: Expr, env: Mapping) -> float:
 
 _PUNCT = set("+-*/^()[],")
 # names are ASCII: str.isalnum() would glue a superscript onto one, as in w²
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | frozenset(string.digits)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME_CHARS = _NAME_START | frozenset("0123456789")
 
 
 def _tokenize(text: str):
@@ -1077,7 +1073,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
 
 from .expr import Expr, Jet, _Record, evaluate_float
 from .jets import LIGHTCONE, SPACETIME, equation_expression, total_derivative

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetlaw
-from jetlaw import LIGHTCONE, SPACETIME, Current, conservation, parse, restricted_derivative
-from jetlaw.cli import _fuse_dash_values, build_parser, main
+from jetlaw import LIGHTCONE, SPACETIME, Current, Sym, conservation, parse, restricted_derivative
+from jetlaw.cli import _config_from, _fuse_dash_values, build_parser, main
+from jetlaw.config import SETTINGS
 from jetlaw.transform import current_to_spacetime
 
 from test_acceptance import _random_canonical
@@ -312,6 +313,15 @@ def test_doc_with_a_non_string_component_exits_2(capsys, monkeypatch):
     code, out, err = _stdin_doc(capsys, monkeypatch, "is-characteristic", doc)
     assert (code, out) == (2, "")
     assert err == "error: bad characteristic document: field 'frame' must be a string, not list\n"
+
+
+def test_an_unreadable_doc_exits_2_with_the_read_error_alone(capsys, tmp_path):
+    # a file that was never read is no bad document
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "verify", "--doc", str(missing))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read document {missing}: "
+                   f"[Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_deeply_nested_expression_exits_2(capsys):
@@ -664,6 +674,47 @@ def test_an_infinite_tolerance_exits_2(capsys, tmp_path, monkeypatch, source, va
     assert "bad value for tolerance" in err
 
 
+# a bad value of a setting, and a command that reads it
+_BAD_SETTINGS = [("samples", "x", "verify"), ("samples", "0", "verify"), ("seed", "x", "verify"),
+                 ("tolerance", "x", "numcheck"), ("format", "xml", "parse")]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("key, value, command", _BAD_SETTINGS,
+                         ids=[f"{key}={value}" for key, value, _ in _BAD_SETTINGS])
+def test_a_bad_setting_exits_2_with_one_error_line_from_any_source(
+        capsys, tmp_path, monkeypatch, key, value, command, source):
+    # a flag's value is checked by the setting's reader, as a variable's or a file's is
+    argv = [command, *_MINIMAL[command]]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    elif source == "env":
+        monkeypatch.setenv(f"JETLAW_{key.upper()}", value)
+    else:
+        config = tmp_path / "jetlaw.cfg"
+        config.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(config)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"bad value for {key}" in err
+
+
+def test_the_readme_configuration_table_lists_every_setting():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("### Configuration\n", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, flag, variable, default = (c.strip().strip("`") for c in line.split("|")[1:5])
+            rows[key] = (flag, variable, default)
+    assert list(rows) == list(SETTINGS)
+    for key, (_, default, read, _) in SETTINGS.items():
+        flag, variable, listed = rows[key]
+        assert (flag, variable) == ("--" + key.replace("_", "-"), "JETLAW_" + key.upper())
+        assert read("" if listed == "origin" else listed) == default, key  # origin: no pairs
+
+
 def test_reference_point_flag_changes_normalization(capsys):
     args = [
         "normalize",
@@ -742,13 +793,13 @@ _MINIMAL = {
     "golden": [],
 }
 _SAMPLING = ["verify", "normalize", "characteristic", "is-trivial", "witness", "is-characteristic"]
-# each setting flag -> (a value, as typed and as parsed; the commands that read it)
+# each setting flag -> (a value, as typed and as resolved; the commands that read it)
 _SETTING_FLAGS = {
     "--config": ("jetlaw.cfg", "jetlaw.cfg", list(_MINIMAL)),
     "--format": ("json", "json", list(_MINIMAL)),
     "--samples": ("3", 3, _SAMPLING),
     "--seed": ("-7", -7, _SAMPLING),
-    "--ref-point": ("xi=1", "xi=1", ["normalize", "witness"]),
+    "--ref-point": ("xi=1", {Sym("xi"): 1}, ["normalize", "witness"]),
     "--tolerance": ("0.5", 0.5, ["numcheck"]),
 }
 _HONOURED = [(c, flag) for flag, (*_, commands) in _SETTING_FLAGS.items() for c in commands]
@@ -763,7 +814,11 @@ def test_the_setting_flags_split_35_to_25():
 def test_a_command_accepts_the_settings_it_reads(command, flag):
     typed, parsed, _ = _SETTING_FLAGS[flag]
     args = build_parser().parse_args(_fuse_dash_values([command, *_MINIMAL[command], flag, typed]))
-    assert getattr(args, flag[2:].replace("-", "_")) == parsed
+    if flag == "--config":
+        assert args.config == parsed
+    else:  # the flag's text reaches the setting's reader, which types it
+        field = SETTINGS[flag[2:].replace("-", "_")][0]
+        assert getattr(_config_from(args), field) == parsed
 
 
 @pytest.mark.parametrize("command, flag", _DROPPED, ids=[c + f for c, f in _DROPPED])

@@ -528,14 +528,15 @@ def test_merged_monomial_product_matches_dict_and_sort(m1, m2):
 # --- mpmath is loaded by sampled zero tests only -------------------------------
 
 
-def _modules_after(code: str, watched=("mpmath",)) -> set:
-    """The watched modules that are loaded after code runs in a fresh interpreter."""
+def _modules_after(code: str, watched=("mpmath",), options=()) -> set:
+    """The watched modules that are loaded after code runs in a fresh
+    interpreter, started with the given command-line options."""
     package_root = os.path.dirname(os.path.dirname(jetlaw.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
     report = f"print('loaded:', *[m for m in {list(watched)!r} if m in sys.modules])"
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{report}"],
+        [sys.executable, *options, "-c", f"import sys\n{code}\n{report}"],
         capture_output=True, text=True, check=True, timeout=60, env=env,
     )
     return set(out.stdout.splitlines()[-1].split()[1:])
@@ -574,6 +575,12 @@ _OPTIONAL = ("jetlaw.transform", "jetlaw.oracle", "jetlaw.golden", "dataclasses"
 def test_a_command_loads_only_the_modules_it_uses(argv, loaded):
     command = f"import jetlaw.cli\ncode = jetlaw.cli.main({argv!r})\nassert code == 0, code"
     assert _modules_after(command, _OPTIONAL) == loaded
+
+
+def test_verify_loads_no_typing_random_or_string():
+    # without site, which can import them itself through a .pth file
+    verify = f"import jetlaw.cli\ncode = jetlaw.cli.main(['verify', *{_ENERGY!r}])\nassert code == 0"
+    assert _modules_after(verify, ("typing", "random", "string"), ("-S",)) == set()
 
 
 # --- integer numerators over one denominator ----------------------------------
