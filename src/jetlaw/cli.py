@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the requested checks pass, 1 when a check comes back
 false (including non-conserved inputs) or stdout cannot be written, 2 for
-unusable input: parse errors, frame mismatches, bad configuration,
-unsupported expression classes.  With --format json a command prints one
+unusable input, each reported by main as one error line: bad command lines,
+parse errors, frame mismatches, bad configuration, unsupported expression
+classes.  With --format json a command prints one
 JSON document; this module alone reads and writes them (``_DOCUMENTS``),
 so a current or characteristic can be piped back in via --doc -.
 
@@ -55,6 +56,10 @@ _DOCUMENTS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # instead of a usage block and SystemExit(2): main prints one error line
+        raise InputError(message)
+
     def print_help(self, file=None):
         # argparse's own drops an OSError, which would make help that was
         # never written exit 0; main reports it as for any other output
@@ -75,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=blurb)
         sub.set_defaults(handler=handler, document=document)
         if document:
-            sub.add_argument("--frame", choices=("lightcone", "spacetime"),
-                             help="frame of inline input (default lightcone)")
+            sub.add_argument("--frame", help="frame of inline input (default lightcone)")
             for field in _DOCUMENTS[document][1]:
                 sub.add_argument(f"--{field}", help=f"{field} expression of the inline {document}")
             sub.add_argument("--doc", help=f"JSON {document} document, path or - for stdin")
@@ -108,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solution spec 'f;g', atoms poly:c0,c1,.. sin:a,b cos:a,b exp:a,b",
     )
     p.add_argument("--rect", default="0,0.75,-1.75,-0.75", help="t0,t1,x0,x1")
-    p.add_argument("--nodes", type=int, default=128, help="Simpson panels per edge")
+    p.add_argument("--nodes", default="128", help="Simpson panels per edge")
     command("golden", _cmd_golden, "run the twelve worked examples")
     return parser
 
@@ -177,7 +181,7 @@ def _load(args):
             values.append(parse(text))
         except ParseError as exc:
             raise InputError(f"in --{name} {text!r}: {exc}") from exc
-    return record(Frame.from_name(args.frame or "lightcone"), *values)
+    return record(Frame.from_name("lightcone" if args.frame is None else args.frame), *values)
 
 
 def _pulled(current: Current, frame: Frame | None = None) -> Current:
@@ -289,15 +293,12 @@ def _cmd_numcheck(args, config: Config) -> int:
     from . import oracle
 
     current = _load(args)
-    try:
-        solution = oracle.parse_solution(args.solution)
-    except oracle.SolutionFormatError as exc:
-        raise InputError(str(exc)) from exc
+    solution = oracle.parse_solution(args.solution)
     try:
         corners = tuple(float(v) for v in args.rect.split(","))
         if len(corners) != 4:
             raise ValueError("need four numbers")
-        rect = oracle.Rectangle(*corners, panels=args.nodes)
+        rect = oracle.Rectangle(*corners, panels=int(args.nodes))
     except ValueError as exc:
         raise InputError(f"bad rectangle: {exc}") from exc
     result = oracle.check_conservation(current, solution, rect)

@@ -120,8 +120,6 @@ def _apply(config: Config, key: str, raw: str, origin: str) -> Config:
     field, _, read, _ = SETTINGS[key]
     try:
         value = read(raw)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{origin}: bad value for {key}: {exc}") from exc
     return config._replace(**{field: value})

@@ -230,27 +230,21 @@ class FluxResult(_Record):
 
 
 def _component_evaluators(current: Current, solution: Solution):
-    """Pointwise (t, x) -> (T, X) evaluators, handling both frames.
+    """Pointwise (t, x) -> (T, X) evaluator, for a current in either frame.
 
-    Light-cone currents are evaluated through the coordinate change
-    xi = x + t, eta = x - t with (T, X) = (F - G, F + G) pointwise; no
-    symbolic transform is involved, keeping the check independent.
+    A light-cone current (F, G) is evaluated at xi = x + t, eta = x - t and
+    gives (T, X) = (F - G, F + G) pointwise; no symbolic transform is
+    involved, keeping the check independent.
     """
     reduced = current.reduced()
     atoms = _sorted_atoms((reduced.first, reduced.second))
-    if current.frame is SPACETIME:
-
-        def values(t: float, x: float):
-            env = _environment(solution, SPACETIME, (t, x), atoms)
-            return evaluate_float(reduced.first, env), evaluate_float(reduced.second, env)
-
-        return values
+    lightcone = current.frame is LIGHTCONE
 
     def values(t: float, x: float):
-        env = _environment(solution, LIGHTCONE, (x + t, x - t), atoms)
-        f_val = evaluate_float(reduced.first, env)
-        g_val = evaluate_float(reduced.second, env)
-        return f_val - g_val, f_val + g_val
+        env = _environment(solution, current.frame, (x + t, x - t) if lightcone else (t, x), atoms)
+        first = evaluate_float(reduced.first, env)
+        second = evaluate_float(reduced.second, env)
+        return (first - second, first + second) if lightcone else (first, second)
 
     return values
 

@@ -750,10 +750,40 @@ def test_witness_integrates_a_function_atom_at_a_reference_point(capsys):
     assert out.splitlines() == ["f-part: w[0,1]*exp(1)", "g-part: 0", "constant: 0"]
 
 
-def test_unknown_subcommand_raises_system_exit(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
+def test_unknown_subcommand_exits_2_with_one_error_line(capsys):
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "invalid choice: 'frobnicate'" in err
+
+
+_NUMCHECK = ["numcheck", "--first", "w", "--second", "0"]
+# a command line that argparse, a flag's reader or a setting's reader refuses,
+# and text its one error line holds
+_BAD_COMMAND_LINES = {
+    "no-command": ([], "required: command"),
+    "unknown-command": (["frobnicate"], "invalid choice: 'frobnicate'"),
+    "no-expr": (["parse"], "required: --expr"),
+    "no-solution": (_NUMCHECK, "required: --solution"),
+    "no-value": (["verify", "--first"], "argument --first: expected one argument"),
+    "unknown-flag": (["parse", "--expr", "t", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    "frame": (["verify", "--first", "w", "--second", "0", "--frame", "xyz"], "unknown frame 'xyz'"),
+    "empty-frame": (["verify", "--first", "w", "--second", "0", "--frame", ""], "unknown frame ''"),
+    "nodes": ([*_NUMCHECK, "--solution", ";", "--nodes", "x"], "bad rectangle: invalid literal"),
+    "ref-point-env": (["parse", "--expr", "t"], "JETLAW_REF_POINT: bad value for ref_point:"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_COMMAND_LINES))
+def test_a_bad_command_line_exits_2_with_one_error_line(capsys, monkeypatch, case):
+    argv, expected = _BAD_COMMAND_LINES[case]
+    if case == "ref-point-env":
+        monkeypatch.setenv("JETLAW_REF_POINT", "oops")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "usage:" not in err
+    assert expected in err, err
 
 
 def test_value_options_match_the_parser():
@@ -824,10 +854,10 @@ def test_a_command_accepts_the_settings_it_reads(command, flag):
 @pytest.mark.parametrize("command, flag", _DROPPED, ids=[c + f for c, f in _DROPPED])
 def test_a_setting_a_command_does_not_read_exits_2(capsys, command, flag):
     # at one time every command took all six and ignored the ones it did not read
-    with pytest.raises(SystemExit) as info:
-        main([command, *_MINIMAL[command], flag, _SETTING_FLAGS[flag][0]])
-    assert info.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    code, out, err = run(capsys, command, *_MINIMAL[command], flag, _SETTING_FLAGS[flag][0])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"unrecognized arguments: {flag}" in err
 
 
 # --- a closed or full stdout ------------------------------------------------------
