@@ -70,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="jetlaw",
         description="conservation-law calculus for the 1+1D wave equation",
+        allow_abbrev=False,
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -77,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with its handler, the kind of document it reads
         (by --doc or inline) if any, and the keys of the settings it reads
         besides format, whose flags pass their text to the settings' readers."""
-        sub = subs.add_parser(name, help=blurb)
+        sub = subs.add_parser(name, help=blurb, allow_abbrev=False)
         sub.set_defaults(handler=handler, document=document)
         if document:
             sub.add_argument("--frame", help="frame of inline input (default lightcone)")
@@ -352,13 +353,18 @@ def _takes_value(token: str) -> bool:
 
 def _fuse_dash_values(argv):
     """A value may start with a minus sign, e.g. --second "-w[1,0]"; argparse
-    only accepts those in --option=value form, so fuse the pairs."""
-    fused = []
+    only accepts those in --option=value form, so fuse the pairs.  A flag
+    given twice is refused, where argparse would keep the last value."""
+    fused, seen = [], set()
     for token in argv:
         if token.startswith("-") and fused and _takes_value(fused[-1]):
             fused[-1] += "=" + token
-        else:
-            fused.append(token)
+            continue
+        flag = token.partition("=")[0]
+        if flag.startswith("--") and flag in seen:
+            raise InputError(f"{flag} given more than once")
+        seen.add(flag)
+        fused.append(token)
     return fused
 
 

@@ -786,6 +786,30 @@ def test_a_bad_command_line_exits_2_with_one_error_line(capsys, monkeypatch, cas
     assert expected in err, err
 
 
+# argparse would read an abbreviation as the flag it starts and keep the last
+# of two values; here both exit 2, so a later flag cannot change what a
+# command line means
+_ABBREVIATED_OR_REPEATED = {
+    "abbreviated-expr": (["parse", "--ex", "t"], "required: --expr"),
+    "repeated-expr": (["parse", "--expr", "t", "--expr", "u"], "--expr given more than once"),
+    "repeated-fused-expr": (["parse", "--expr=t", "--expr", "u"], "--expr given more than once"),
+    "abbreviated-first": (["verify", "--fir", "w", "--second", "0"], "unrecognized arguments: --fir w"),
+    "abbreviated-frame": (["verify", "--first", "u", "--second", "0", "--fr", "spacetime"],
+                          "unrecognized arguments: --fr spacetime"),
+    "repeated-format": (["golden", "--format", "json", "--format", "text"],
+                        "--format given more than once"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ABBREVIATED_OR_REPEATED))
+def test_an_abbreviated_or_repeated_flag_exits_2(capsys, case):
+    argv, expected = _ABBREVIATED_OR_REPEATED[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert expected in err, err
+
+
 def test_value_options_match_the_parser():
     # every option that takes a value must accept one that starts with a
     # minus sign, such as --second -w[1,0]; the fusion decides by syntax,

@@ -1,7 +1,9 @@
 """Numeric oracle: closed-form solutions, jet evaluation, flux quadrature."""
 
+import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -11,9 +13,9 @@ import jetlaw
 from jetlaw.expr import Jet, Sym, parse
 from jetlaw.jets import LIGHTCONE, SPACETIME, total_derivative
 from jetlaw.conservation import Characteristic, Current, characteristic
+from jetlaw.golden import GOLDEN_CURRENTS, GOLDEN_RECTANGLE, GOLDEN_SOLUTIONS
 from jetlaw.transform import characteristic_to_spacetime, current_to_spacetime
 from jetlaw.oracle import (
-    Damp,
     Poly,
     Rectangle,
     Solution,
@@ -56,11 +58,18 @@ def test_wave_derivative_cycle():
     assert Wave("sin", 2, 1)(0.25) == pytest.approx(math.sin(1.5))
 
 
-def test_damp_derivative_multiplies_by_rate():
-    d = Damp(-3, 1, 2)
+def test_exp_wave_derivative_multiplies_by_rate():
+    d = Wave("exp", -3, 1, 2)
     dd = d.derivative()
     assert dd.scale == -6
     assert d(0.0) == pytest.approx(2 * math.exp(1))
+
+
+def test_wave_refuses_an_unknown_head():
+    with pytest.raises(ValueError, match="unknown profile head 'tan'"):
+        Wave("tan", 1, 0)
+    with pytest.raises(ValueError, match="unknown profile head"):
+        Wave("sin", 1, 0)._replace(head="tan")
 
 
 # --- solution parsing ------------------------------------------------------------
@@ -217,6 +226,34 @@ def test_counterexample_flux_does_not_decay():
     assert result.residual > 1e-3
     coarse_rect = Rectangle(0.0, 0.75, -1.75, -0.75, 32)
     assert check_conservation(bad, SOLUTIONS[0], coarse_rect).residual > 1e-3
+
+
+# float.hex() of the flux check's fine and coarse residuals: a rework of the
+# oracle that keeps every float operation in its order keeps these bits.
+FLUX_BITS = json.loads(pathlib.Path(__file__).with_name("flux_bits.json").read_text("utf-8"))
+
+
+def _flux_cases():
+    """The golden currents, the counterexample and the pullbacks of all six,
+    each on the golden solutions at 128, 32 and 30 panels (30 halves to an
+    odd count, which is rounded up)."""
+    counterexample = Current(LIGHTCONE, parse("w[1,0]"), parse("0"))
+    currents = {**GOLDEN_CURRENTS, "counterexample": counterexample}
+    currents.update({f"{name} pulled": current_to_spacetime(c) for name, c in list(currents.items())})
+    for name, current in currents.items():
+        for which, solution in enumerate(GOLDEN_SOLUTIONS):
+            for panels in (128, 32, 30):
+                rect = GOLDEN_RECTANGLE._replace(panels=panels)
+                yield f"{name} on {which} at {panels}", current, solution, rect
+
+
+def test_flux_residual_bits_are_pinned():
+    bits = {}
+    for key, current, solution, rect in _flux_cases():
+        result = check_conservation(current, solution, rect)
+        bits[key] = [result.residual.hex(), result.coarse_residual.hex()]
+    assert len(bits) == 108
+    assert bits == FLUX_BITS
 
 
 def test_exotic_flux_is_degenerate_on_parabolic_tail():
