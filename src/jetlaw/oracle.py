@@ -164,12 +164,19 @@ def _sorted_atoms(exprs: Iterable[Expr]) -> tuple:
     return tuple(sorted(atoms, key=lambda a: a.sort_key))
 
 
-def _environment(solution: Solution, frame, coords: tuple, atoms: Sequence,
-                 rng: random.Random | None = None) -> dict:
+def _environment(
+    solution: Solution,
+    frame,
+    coords: tuple,
+    atoms: Sequence,
+    rng: random.Random | None = None,
+) -> dict:
     """Float environment for the atoms at a point in frame coordinates; with
-    rng, each jet in turn gets an offset drawn from [-1, 1].  The other atoms
-    are the frame's coordinates: Current and Characteristic admit no others."""
-    env: dict = {frame.symbol(0): float(coords[0]), frame.symbol(1): float(coords[1])}
+    rng, each jet in turn gets an offset drawn from [-1, 1]."""
+    env: dict = {
+        frame.symbol(0): float(coords[0]),
+        frame.symbol(1): float(coords[1]),
+    }
     for a in atoms:
         if isinstance(a, Jet):
             value = eval_jet(solution, frame, a, coords[0], coords[1])
@@ -178,8 +185,6 @@ def _environment(solution: Solution, frame, coords: tuple, atoms: Sequence,
 
 
 def _simpson(fn: Callable[[float], float], a: float, b: float, panels: int) -> float:
-    if panels < 2 or panels % 2:
-        raise ValueError("Simpson rule needs an even panel count >= 2")
     h = (b - a) / panels
     total = fn(a) + fn(b)
     for k in range(1, panels):

@@ -230,6 +230,10 @@ def test_counterexample_flux_does_not_decay():
 
 # float.hex() of the flux check's fine and coarse residuals: a rework of the
 # oracle that keeps every float operation in its order keeps these bits.
+# The table was captured with CPython 3.11.7 on x86_64 Debian 12 (glibc 2.36),
+# so it also pins that libm's rounding of sin, cos, exp and pow: most
+# residuals are at rounding level, and another libm may differ in the last
+# bits with no change to the code.
 FLUX_BITS = json.loads(pathlib.Path(__file__).with_name("flux_bits.json").read_text("utf-8"))
 
 
