@@ -51,6 +51,18 @@ a product of two monomials is a linear merge of their sorted atom tuples
 with it an ``Fn``'s argument expression, lives only as long as something
 else refers to it.  Pickling and copying return the interned instance.
 
+``parse`` has two readers.  Text in the shape ``str`` prints a polynomial
+in, a signed sum of terms that are products of integers, symbols, jets
+``name[i,j]`` and bare names with optional natural powers, and
+``/integer`` divisors, is read in one pass: one regex match per term, whose
+numerator, denominator and atom powers go straight into coefficient dicts
+grouped by denominator, as ``Expr._sum`` collects, with no Expr made per
+factor or per term.  Every other text (parentheses, function heads,
+negative exponents, a symbol with an index such as ``t[1,0]``, division by
+zero, an integer literal too long to read, anything malformed) goes to the
+recursive-descent ``_Parser``, which raises every ParseError.  On text the
+one-pass reader takes, both give the same value.
+
 The package's other immutable values (``ZeroVerdict`` here, ``Frame``,
 ``Current``, ``Config`` and the rest elsewhere) are records: slotted
 subclasses of ``_Record``, whose fields are their ``__slots__``.  The base
@@ -63,6 +75,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import threading
 import weakref
 from collections.abc import Mapping
@@ -1071,6 +1084,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int_value(tok) -> int:
+    """The value of an int token; a literal longer than the interpreter's
+    int-string limit (``sys.set_int_max_str_digits``) is a ParseError."""
+    try:
+        return int(tok[1])
+    except ValueError:  # the token is all decimal digits, so only the limit refuses it
+        raise ParseError(f"integer literal of {len(tok[1])} digits is too long", tok[2]) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -1136,12 +1158,11 @@ class _Parser:
         if self.peek()[0] == "-":
             self.next()
             sign = -1
-        tok = self.expect("int")
-        return sign * int(tok[1])
+        return sign * _int_value(self.expect("int"))
 
     def integer_token(self) -> int:
         tok = self.expect("int")
-        value = int(tok[1])
+        value = _int_value(tok)
         if value == 0:
             raise ParseError("division by zero", tok[2])
         return value
@@ -1150,7 +1171,7 @@ class _Parser:
         tok = self.next()
         kind, text, at = tok
         if kind == "int":
-            return Expr.from_rational(int(text))
+            return Expr.from_rational(_int_value(tok))
         if kind == "(":
             e = self.expression()
             self.expect(")")
@@ -1180,6 +1201,86 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}", at)
 
 
+# A factor of a printed polynomial: an integer, or a name with an optional
+# index [i,j], then an optional natural power.  \s and \d match what the
+# tokenizer's str.isspace and str.isdecimal do; names are ASCII, as there.
+_FACTOR = r"(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\[\s*(\d+)\s*,\s*(\d+)\s*\])?)(?:\s*\^\s*(\d+))?"
+
+
+@cache
+def _printed_patterns():
+    """The term pattern's match and the factor pattern's findall, compiled
+    on the first parse rather than at import.
+
+    A term is an optional sign, then factors joined by ``*``, each ``/``
+    taking an integer divisor.  The factor pattern, led by its ``*`` or
+    ``/``, splits a term the term pattern has matched.
+    """
+    term = re.compile(rf"\s*([-+]?)\s*({_FACTOR}(?:\s*(?:\*\s*{_FACTOR}|/\s*\d+))*)\s*")
+    return term.match, re.compile(rf"\s*([*/]?)\s*{_FACTOR}").findall
+
+
+def _parse_printed(text: str) -> Expr | None:
+    """The value of text read in one pass, or None when text is not a
+    printed polynomial: a signed sum of terms, each a product of integers,
+    symbols and jets with optional natural powers, and integer divisors.
+
+    Each term is one match of the term pattern; its numerator, denominator
+    and atom powers go straight into the coefficient dicts, one per
+    denominator, that ``Expr._sum`` collects in, and no Expr is made
+    before the result.  Any other text, malformed text included, gives
+    None, so that ``_Parser`` reads it and raises every ParseError.
+    """
+    match_term, split_term = _printed_patterns()
+    groups: dict = {}  # term denominator -> the numerators of terms over it
+    atoms: dict = {}  # (name, i, j) as written -> its atom
+    pos, end = 0, len(text)
+    try:
+        while True:
+            m = match_term(text, pos)
+            if m is None:
+                return None
+            sign, body = m.group(1, 2)
+            if pos and not sign:  # a term after the first needs its sign
+                return None
+            pos = m.end()
+            num = -1 if sign == "-" else 1
+            den = 1
+            powers: dict = {}
+            for op, digits, name, i, j, p in split_term(body):
+                if digits:
+                    value = int(digits)
+                    if op != "/":
+                        num *= value ** int(p) if p else value
+                    elif value:
+                        den *= value
+                    else:  # division by zero
+                        return None
+                    continue
+                atom = atoms.get((name, i, j))
+                if atom is None:
+                    if name in SYMBOL_NAMES and not i:
+                        atom = Sym(name)
+                    else:  # Jet refuses a symbol or a function name
+                        atom = Jet(name, int(i), int(j)) if i else Jet(name, 0, 0)
+                    atoms[name, i, j] = atom
+                powers[atom] = powers.get(atom, 0) + (int(p) if p else 1)
+            if num:
+                mono = tuple(sorted([ap for ap in powers.items() if ap[1]], key=_atom_sort_key))
+                coeffs = _group(groups, den)
+                acc = coeffs.get(mono)
+                coeffs[mono] = num if acc is None else acc + num
+            if pos == end:
+                break
+    except ValueError:  # a jet of a reserved name, or an integer longer than int() reads
+        return None
+    return _build_grouped(groups)
+
+
+def _atom_sort_key(ap) -> tuple:
+    return ap[0].sort_key
+
+
 def parse(text: str) -> Expr:
     """Parse expression text to a canonical Expr.
 
@@ -1189,5 +1290,14 @@ def parse(text: str) -> Expr:
     applications, or parenthesized expressions.  A sign may start only an
     expression (the input, a parenthesized group, a function argument) or
     an exponent, so ``xi+-1`` and ``xi*-1`` are errors and ``xi+(-1)`` is not.
+
+    A printed polynomial (a signed sum of terms, each a product of
+    integers, symbols, jets and bare names with optional natural powers,
+    and ``/integer`` divisors) is read in one pass by ``_parse_printed``.
+    All other text, with parentheses, functions or negative exponents, and
+    every malformed text goes to ``_Parser``, which raises every ParseError.
+    An integer literal longer than the interpreter's int-string limit is
+    a ParseError that names its digit count.
     """
-    return _Parser(text).parse()
+    e = _parse_printed(text)
+    return _Parser(text).parse() if e is None else e

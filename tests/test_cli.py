@@ -22,6 +22,7 @@ from jetlaw.config import SETTINGS
 from jetlaw.transform import current_to_spacetime
 
 from test_acceptance import _random_canonical
+from test_expr import _too_long
 
 
 def run(capsys, *argv):
@@ -328,6 +329,19 @@ def test_deeply_nested_expression_exits_2(capsys):
     code, out, err = run(capsys, "parse", "--expr", "(" * 3000 + "t" + ")" * 3000)
     assert (code, out) == (2, "")
     assert err == "error: input too deep or too large to process\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--expr", "{}"],
+    ["verify", "--first", "{}*w[0,1]", "--second", "0"],
+    ["parse", "--expr", "xi^{}"],
+], ids=["parse", "verify", "power"])
+def test_an_integer_literal_over_the_int_string_limit_exits_2(capsys, argv):
+    digits = _too_long()
+    code, out, err = run(capsys, *[arg.format(digits) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"integer literal of {len(digits)} digits is too long" in err
 
 
 # --- triviality ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Expression core: canonical forms, parsing, calculus, zero testing."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from jetlaw.expr import (
     Sym,
     UnsupportedExpressionError,
     UnsupportedIntegrandError,
+    _Parser,
     as_expr,
     diff_partial,
     evaluate_float,
@@ -134,6 +137,101 @@ def test_reserved_names_cannot_be_jets():
         parse("t[1,0]")
     with pytest.raises(ParseError):
         parse("exp[0,0]")
+
+
+def _too_long() -> str:
+    """Digits one longer than the interpreter's int-string limit."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        pytest.skip("this interpreter reads integer literals of any length")
+    return "9" * (limit + 1)
+
+
+@pytest.mark.parametrize("template, position", [
+    ("{}", 0), ("{}*w[0,1]", 0), ("xi^{}", 3), ("xi^-{}", 4), ("w[{},0]", 2), ("xi/{}", 3), ("(xi + {})", 6),
+])
+def test_an_integer_literal_over_the_int_string_limit_is_a_parse_error(template, position):
+    digits = _too_long()
+    with pytest.raises(ParseError) as err:
+        parse(template.format(digits))
+    assert err.value.position == position
+    assert f"integer literal of {len(digits)} digits is too long" in str(err.value)
+
+
+# --- the one-pass reader against the recursive-descent parser ---------------
+#
+# parse() reads printed polynomials in one pass and hands every other text to
+# _Parser.  Texts are drawn as terms of factors, from pieces that each reach
+# an edge of the one-pass path: a symbol with an index and a function name
+# as a jet, bare names, zero, powers 0 and -1, division by zero, a
+# non-ASCII decimal digit, spaced jets, superscripts, doubled signs and
+# parentheses.
+
+# (pieces the one-pass path reads, pieces at or past its edges)
+_FACTORS = (["xi", "eta", "t", "x", "w", "u2", "w[0,1]", "u[2,0]", "w [ 1 , 0 ]", "0", "1", "7", "12", "٣",
+             "w[٣,0]"],
+            ["exp", "t[1,0]", "exp[0,0]", "w²", "(xi + 1)", "sin(t)", "w[0,1", ""])
+_POWERS = (["", "", "", "^0", "^2", " ^ 3", "^٣"], ["^-1", "^", "^2^2"])
+_PRODUCTS = (["*", "*", " * ", "/2*", "/ 3 *"], ["/0*", "/", "**", " "])
+_SUMS = ([" + ", " - ", "+", "-"], [" - -", " ", ""])
+_LEADS = (["", "", "-", "+", " -"], ["- -", "("])
+_ENDS = (["", "", "", " ", "\t"], ["+", ")", "\u3000"])
+
+
+@st.composite
+def parser_texts(draw):
+    """Half of the texts from the readable pieces alone, half with each
+    piece at or past an edge one time in four or so."""
+    edges = draw(st.booleans())
+
+    def piece(pieces):
+        readable, past = pieces
+        return draw(st.sampled_from(readable * 3 + past if edges else readable))
+
+    text = piece(_LEADS)
+    for k in range(draw(st.integers(1, 4))):
+        if k:
+            text += piece(_SUMS)
+        for f in range(draw(st.integers(1, 3))):
+            if f:
+                text += piece(_PRODUCTS)
+            text += piece(_FACTORS) + piece(_POWERS)
+    return text + piece(_ENDS)
+
+
+def _outcome(read, text):
+    """(value, printed value), or (exception type, message)."""
+    try:
+        e = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return e, str(e)
+
+
+def _assert_parse_agrees(text):
+    assert _outcome(parse, text) == _outcome(lambda t: _Parser(t).parse(), text)
+
+
+@given(parser_texts())
+@settings(max_examples=500, deadline=None)
+def test_parse_agrees_with_the_recursive_descent_parser(text):
+    _assert_parse_agrees(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2*t[1,0]", "exp[0,0] + xi", "w - exp", "0*xi + 0", "xi^0*w[0,1]^2", "xi^-1", "xi/0 + 1",
+    "٣*w[٣,0]/٣", "w [ 1 , 0 ] - w²", "xi - -eta", "- -xi", "(xi) + eta",
+])
+def test_parse_agrees_with_the_recursive_descent_parser_at_each_edge(text):
+    _assert_parse_agrees(text)
+
+
+def test_regex_classes_match_the_tokenizer_predicates():
+    # the one-pass patterns use \s and \d where the tokenizer calls
+    # str.isspace and str.isdecimal; checked over every code point
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [ch for ch in everything if ch.isspace()]
+    assert re.findall(r"\d", everything) == [ch for ch in everything if ch.isdecimal()]
 
 
 # --- arithmetic -------------------------------------------------------------
