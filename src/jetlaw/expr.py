@@ -1201,23 +1201,21 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}", at)
 
 
-# A factor of a printed polynomial: an integer, or a name with an optional
-# index [i,j], then an optional natural power.  \s and \d match what the
-# tokenizer's str.isspace and str.isdecimal do; names are ASCII, as there.
-_FACTOR = r"(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\[\s*(\d+)\s*,\s*(\d+)\s*\])?)(?:\s*\^\s*(\d+))?"
-
-
 @cache
 def _printed_patterns():
     """The term pattern's match and the factor pattern's findall, compiled
     on the first parse rather than at import.
 
-    A term is an optional sign, then factors joined by ``*``, each ``/``
-    taking an integer divisor.  The factor pattern, led by its ``*`` or
-    ``/``, splits a term the term pattern has matched.
+    A factor is an integer, or a name with an optional index [i,j], then
+    an optional natural power.  A term is an optional sign, then factors
+    joined by ``*``, each ``/`` taking an integer divisor.  The factor
+    pattern, led by its ``*`` or ``/``, splits a term the term pattern has
+    matched.  ``\\s`` and ``\\d`` match what the tokenizer's ``str.isspace``
+    and ``str.isdecimal`` do; names are ASCII, as there.
     """
-    term = re.compile(rf"\s*([-+]?)\s*({_FACTOR}(?:\s*(?:\*\s*{_FACTOR}|/\s*\d+))*)\s*")
-    return term.match, re.compile(rf"\s*([*/]?)\s*{_FACTOR}").findall
+    factor = r"(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)(?:\s*\[\s*(\d+)\s*,\s*(\d+)\s*\])?)(?:\s*\^\s*(\d+))?"
+    term = re.compile(rf"\s*([-+]?)\s*({factor}(?:\s*(?:\*\s*{factor}|/\s*\d+))*)\s*")
+    return term.match, re.compile(rf"\s*([*/]?)\s*{factor}").findall
 
 
 def _parse_printed(text: str) -> Expr | None:
@@ -1266,7 +1264,7 @@ def _parse_printed(text: str) -> Expr | None:
                     atoms[name, i, j] = atom
                 powers[atom] = powers.get(atom, 0) + (int(p) if p else 1)
             if num:
-                mono = tuple(sorted([ap for ap in powers.items() if ap[1]], key=_atom_sort_key))
+                mono = tuple(sorted([ap for ap in powers.items() if ap[1]], key=lambda ap: ap[0].sort_key))
                 coeffs = _group(groups, den)
                 acc = coeffs.get(mono)
                 coeffs[mono] = num if acc is None else acc + num
@@ -1275,10 +1273,6 @@ def _parse_printed(text: str) -> Expr | None:
     except ValueError:  # a jet of a reserved name, or an integer longer than int() reads
         return None
     return _build_grouped(groups)
-
-
-def _atom_sort_key(ap) -> tuple:
-    return ap[0].sort_key
 
 
 def parse(text: str) -> Expr:

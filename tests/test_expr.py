@@ -220,7 +220,7 @@ def test_parse_agrees_with_the_recursive_descent_parser(text):
 
 @pytest.mark.parametrize("text", [
     "2*t[1,0]", "exp[0,0] + xi", "w - exp", "0*xi + 0", "xi^0*w[0,1]^2", "xi^-1", "xi/0 + 1",
-    "٣*w[٣,0]/٣", "w [ 1 , 0 ] - w²", "xi - -eta", "- -xi", "(xi) + eta",
+    "٣*w[٣,0]/٣", "w [ 1 , 0 ] - w²", "xi - -eta", "- -xi", "(xi) + eta", "xi 2*eta",
 ])
 def test_parse_agrees_with_the_recursive_descent_parser_at_each_edge(text):
     _assert_parse_agrees(text)
