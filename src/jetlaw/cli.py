@@ -181,8 +181,15 @@ def _load(args):
         try:
             values.append(parse(text))
         except ParseError as exc:
-            raise InputError(f"in --{name} {text!r}: {exc}") from exc
+            raise InputError(f"in --{name} {_echo(text)}: {exc}") from exc
     return record(Frame.from_name("lightcone" if args.frame is None else args.frame), *values)
+
+
+def _echo(text: str, cap: int = 80) -> str:
+    """text quoted for an error line, up to cap characters of it."""
+    if len(text) <= cap:
+        return repr(text)
+    return f"{text[:cap]!r}... ({len(text)} characters)"
 
 
 def _pulled(current: Current, frame: Frame | None = None) -> Current:

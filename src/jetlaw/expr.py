@@ -42,14 +42,27 @@ the order of accumulation never shows in a value, only in how its terms
 are stored.
 
 Atoms are interned: ``Sym``, ``Jet`` and ``Fn`` make one instance per
-value, so ``==`` and ``hash`` are the identity defaults of ``object`` and
-a monomial's dict lookup hashes no fields.  Each atom stores its sort key
-as a plain attribute when it is made, so sorting never rebuilds one, and
-a product of two monomials is a linear merge of their sorted atom tuples
-(only exp factors, which fuse into one, take a dict and a sort).  The
-``Jet`` and ``Fn`` intern tables hold their atoms weakly: an atom, and
-with it an ``Fn``'s argument expression, lives only as long as something
-else refers to it.  Pickling and copying return the interned instance.
+value, so ``==`` and ``hash`` are the identity defaults of ``object``.
+Each atom stores its sort key as a plain attribute when it is made, so
+sorting never rebuilds one.  The ``Jet`` and ``Fn`` intern tables hold
+their atoms weakly: an atom, and with it an ``Fn``'s argument expression,
+lives only as long as something else refers to it.  Pickling and copying
+return the interned instance.
+
+Monomials are packed exponent vectors, the layout of Monagan & Pearce.
+Each ``Sym`` and ``Jet`` value owns a slot, given when it is first made
+and kept for the life of the process, even after a collected jet is made
+again.  A monomial's Sym and Jet part is one int with a 32-bit field per
+slot: 31 bits of exponent and a guard bit, so an exponent is at most
+``EXPONENT_LIMIT`` (2^31 - 1).  A product of monomials is one int
+addition; a field that passes the limit sets its guard bit, never carries
+into its neighbour, and one AND finds it and raises ExponentLimitError.
+A derivative in an atom reads its field with a shift and a mask and
+subtracts its unit.  Function factors stay beside the int: a monomial
+with some is a ``_Mixed`` pair, which adds like the ints and fuses exp
+factors.  Slot numbers mean nothing outside the process, so canonical
+order, printing, the public ``terms``, ``base_atoms`` and pickling unpack
+the int into (atom, exponent) pairs at the boundary.
 
 ``parse`` has two readers.  Text in the shape ``str`` prints a polynomial
 in, a signed sum of terms that are products of integers, symbols, jets
@@ -80,7 +93,7 @@ import threading
 import weakref
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 SYMBOL_NAMES = ("xi", "eta", "t", "x")
 FUNCTION_NAMES = ("exp", "sin", "cos", "ln")
@@ -102,10 +115,22 @@ class UnsupportedIntegrandError(ValueError):
     """The integrand is outside the closed-form antiderivative classes."""
 
 
+class ExponentLimitError(ValueError):
+    """A result would hold an exponent over EXPONENT_LIMIT."""
+
+
 # ---------------------------------------------------------------------------
 # atoms
 
 _INTERN_LOCK = threading.Lock()
+
+_FIELD = 32  # bits per slot: the exponent, then one guard bit
+EXPONENT_LIMIT = (1 << (_FIELD - 1)) - 1
+_MASK = (1 << _FIELD) - 1
+_SLOT_OF: dict = {}  # intern key of a Sym or Jet value -> its slot, for good
+_SLOT_ATOMS: list = []  # slot -> weak reference to its atom
+_SLOT_KEYS: list = []  # slot -> the intern key, to make a collected jet again
+_GUARDS = 0  # the guard bit of every slot given out
 
 
 def _refuse_mutation(self, *_):
@@ -118,12 +143,13 @@ class _Atom:
 
     Equal values are the same object, so ``==`` and ``hash`` are the
     identity defaults of ``object``.  ``sort_key`` is computed once, when
-    the instance is made.  Each subclass's own ``__slots__`` are its fields.
+    the instance is made.  Each subclass names its fields in ``_fields``.
     The records below (``_Record``) share the immutability and the repr
     but are not interned, so they compare and hash by their fields.
     """
 
     __slots__ = ("sort_key", "__weakref__")
+    _fields: tuple = ()
 
     @classmethod
     def _intern(cls, key, sort_key, *fields):
@@ -132,14 +158,18 @@ class _Atom:
             self = cls._interned.get(key)
             if self is None:
                 self = object.__new__(cls)
-                for name, value in zip(cls.__slots__, fields):
+                for name, value in zip(cls._fields, fields):
                     object.__setattr__(self, name, value)
                 object.__setattr__(self, "sort_key", sort_key)
+                self._made(key)
                 cls._interned[key] = self
             return self
 
+    def _made(self, key):
+        """Called once on a new instance, under the intern lock."""
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in type(self).__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     __setattr__ = __delattr__ = _refuse_mutation
 
@@ -148,7 +178,7 @@ class _Atom:
         return type(self), self._values()
 
     def __repr__(self):
-        body = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._values()))
+        body = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__name__}({body})"
 
 
@@ -225,10 +255,39 @@ class _Record:
         return f"{type(self).__name__}({body})"
 
 
-class Sym(_Atom):
+class _Variable(_Atom):
+    """Base of Sym and Jet, the atoms a monomial's int holds: ``slot`` is
+    the index of the atom's exponent field, and ``unit`` the int with 1 in
+    that field.  A value keeps its slot when its jet is collected and made
+    again, so no slot is reused and a live monomial never changes meaning."""
+
+    __slots__ = ("slot", "unit")
+
+    def _made(self, key):
+        global _GUARDS
+        slot = _SLOT_OF.get(key)
+        if slot is None:
+            slot = _SLOT_OF[key] = len(_SLOT_ATOMS)
+            _SLOT_ATOMS.append(None)
+            _SLOT_KEYS.append(key)
+            _GUARDS |= 1 << (slot * _FIELD + _FIELD - 1)
+        _SLOT_ATOMS[slot] = weakref.ref(self)
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "unit", 1 << slot * _FIELD)
+
+
+def _atom_at(slot: int) -> "Sym | Jet":
+    """The atom of a slot; a jet that was collected is made again."""
+    atom = _SLOT_ATOMS[slot]()
+    # symbols stay in Sym._interned, so only a jet can have been collected
+    return Jet(*_SLOT_KEYS[slot]) if atom is None else atom
+
+
+class Sym(_Variable):
     """An independent variable: one of xi, eta, t, x."""
 
     __slots__ = ("name",)
+    _fields = ("name",)
     _interned: dict = {}  # name -> Sym, four entries at most
 
     def __new__(cls, name: str):
@@ -240,10 +299,11 @@ class Sym(_Atom):
         return self.name
 
 
-class Jet(_Atom):
+class Jet(_Variable):
     """Jet coordinate var[i,j]: d^(i+j) var / d(first)^i d(second)^j."""
 
-    __slots__ = ("var", "i", "j")
+    __slots__ = ("var", "i", "j", "_up")
+    _fields = ("var", "i", "j")
     _interned = weakref.WeakValueDictionary()  # (var, i, j) -> Jet
 
     def __new__(cls, var: str, i: int, j: int):
@@ -256,14 +316,23 @@ class Jet(_Atom):
             self = cls._intern((var, i, j), (1, var, i, j), var, i, j)
         return self
 
+    def _made(self, key):
+        super()._made(key)
+        object.__setattr__(self, "_up", [None, None])  # the two shifted jets, made on first use
+
     def shifted(self, axis: int) -> "Jet":
         """The jet one derivative deeper along axis 0 (first) or 1 (second)."""
-        if axis == 0:
-            return Jet(self.var, self.i + 1, self.j)
-        return Jet(self.var, self.i, self.j + 1)
+        up = self._up[axis]
+        if up is None:
+            up = self._up[axis] = Jet(self.var, self.i + 1 - axis, self.j + axis)
+        return up
 
     def __str__(self):
         return f"{self.var}[{self.i},{self.j}]"
+
+
+for _name in SYMBOL_NAMES:  # the symbols take the first slots
+    Sym(_name)
 
 
 class Fn(_Atom):
@@ -276,6 +345,7 @@ class Fn(_Atom):
     """
 
     __slots__ = ("head", "arg")
+    _fields = ("head", "arg")
     _interned = weakref.WeakValueDictionary()  # (head, arg) -> Fn
 
     def __new__(cls, head: str, arg: "Expr"):
@@ -290,87 +360,129 @@ class Fn(_Atom):
         return f"{self.head}({self.arg})"
 
 
-# A monomial is a tuple of (atom, exponent) pairs, ascending in atom sort
-# key, exponents >= 1.  The empty tuple is the constant monomial.
-Mono = tuple
+# A monomial is an int when its factors are all Sym and Jet atoms: the sum
+# of p * atom.unit over its factors atom^p, so 0 is the constant monomial.
+# One with function factors is a _Mixed.
 
 
-def _mono_key(mono: Mono):
-    """The canonical-order key of a monomial: its degree, then its atoms
-    from the last, each with its exponent."""
-    return (sum([p for _, p in mono]), tuple([(a.sort_key, p) for a, p in reversed(mono)]))
+class _Mixed(tuple):
+    """A monomial with function factors: the pair (its Sym and Jet part as
+    an int, its (Fn, exponent) pairs in sort-key order), with at most one
+    exp factor, to the first power.
 
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    """Merge two monomials; products of exp factors fuse their arguments.
-
-    Function atoms sort last, so unless both monomials end in one, no exp
-    factors meet and the product is a merge of the two sorted tuples.
+    It takes part in the int arithmetic of the kernel's loops: ``+`` with
+    an int or a _Mixed is the monomial product, which fuses exp factors,
+    ``- n`` subtracts from the int part, and ``& mask`` reads it.  Hashing
+    and equality are the tuple's own.
     """
-    if not m2:
-        return m1
-    if not m1:
-        return m2
-    if type(m1[-1][0]) is Fn and type(m2[-1][0]) is Fn:
-        return _mono_mul_fused(m1, m2)
-    a1, p1 = m1[0]
-    a2, p2 = m2[0]
-    k1, k2 = a1.sort_key, a2.sort_key
-    if m1[-1][0].sort_key < k2:  # all of m1 sorts before all of m2
-        return m1 + m2
-    n1, n2 = len(m1), len(m2)
-    i = j = 0
-    out = []
-    while True:
-        if a1 is a2:
-            out.append((a1, p1 + p2))
-            i += 1
-            j += 1
-            if i == n1 or j == n2:
-                break
-            a1, p1 = m1[i]
-            a2, p2 = m2[j]
-            k1, k2 = a1.sort_key, a2.sort_key
-        elif k1 < k2:
-            out.append(m1[i])
-            i += 1
-            if i == n1:
-                break
-            a1, p1 = m1[i]
-            k1 = a1.sort_key
-        else:
-            out.append(m2[j])
-            j += 1
-            if j == n2:
-                break
-            a2, p2 = m2[j]
-            k2 = a2.sort_key
-    return (*out, *m1[i:], *m2[j:])
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if type(other) is int:
+            return tuple.__new__(_Mixed, (self[0] + other, self[1]))
+        return _mixed(self[0] + other[0], _fn_product(self[1], other[1]))
+
+    __radd__ = __add__
+
+    def __sub__(self, n: int):
+        return tuple.__new__(_Mixed, (self[0] - n, self[1]))
+
+    def __and__(self, mask: int) -> int:
+        return self[0] & mask
 
 
-def _mono_mul_fused(m1: Mono, m2: Mono) -> Mono:
-    """The product through a power dict and a sort, fusing exp factors."""
-    powers: dict[Sym | Jet | Fn, int] = {}
+def _mixed(bits: int, fns: tuple):
+    """The monomial with int part bits and function factors fns."""
+    return tuple.__new__(_Mixed, (bits, fns)) if fns else bits
+
+
+def _fn_product(f1: tuple, f2: tuple) -> tuple:
+    """The function factors of a product: powers add, exp factors fuse."""
+    powers: dict[Fn, int] = {}
     exp_arg = None
-    for a, p in (*m1, *m2):
-        if isinstance(a, Fn) and a.head == "exp":
+    for a, p in (*f1, *f2):
+        if a.head == "exp":
             contrib = a.arg if p == 1 else a.arg * Expr.from_rational(p)
             exp_arg = contrib if exp_arg is None else exp_arg + contrib
         else:
             powers[a] = powers.get(a, 0) + p
-    factors = [(a, p) for a, p in powers.items() if p != 0]
+    for a, p in powers.items():
+        if p > EXPONENT_LIMIT:
+            raise _limit_error(p, a)
+    factors = list(powers.items())
     if exp_arg is not None and not exp_arg.is_zero_literal:
         factors.append((Fn("exp", exp_arg), 1))
     factors.sort(key=lambda ap: ap[0].sort_key)
     return tuple(factors)
 
 
+def _limit_error(p: int, atom=None) -> ExponentLimitError:
+    of = "" if atom is None else f" of {atom}"
+    return ExponentLimitError(f"exponent {p}{of} is over the limit {EXPONENT_LIMIT}")
+
+
+def _fields_of(bits: int):
+    """The (slot, exponent) pairs of the nonzero fields of bits, by slot."""
+    while bits:
+        slot = ((bits & -bits).bit_length() - 1) // _FIELD
+        shift = slot * _FIELD
+        p = (bits >> shift) & _MASK
+        yield slot, p
+        bits -= p << shift
+
+
+@lru_cache(maxsize=1024)
+def _slots_of(ones: int) -> tuple:
+    """(slot, field mask, shift) of each field of ones, which holds 0 or 1
+    in each field; cached, since the atom sets of Exprs recur."""
+    return tuple([(slot, _MASK << slot * _FIELD, slot * _FIELD) for slot, _p in _fields_of(ones)])
+
+
+def _over_limit(m) -> ExponentLimitError:
+    """The error for a monomial with a guard bit set."""
+    for slot, p in _fields_of(m if type(m) is int else m[0]):
+        if p > EXPONENT_LIMIT:
+            return _limit_error(p, _atom_at(slot))
+
+
+def _factors(m) -> tuple:
+    """The monomial as (atom, exponent) pairs in sort-key order, function
+    atoms last: the form printing, evaluation and ``terms`` read."""
+    bits, fns = (m, ()) if type(m) is int else m
+    atoms = sorted([(_atom_at(slot), p) for slot, p in _fields_of(bits)], key=lambda ap: ap[0].sort_key)
+    return (*atoms, *fns)
+
+
+def _pack(factors) -> int | _Mixed:
+    """The monomial of (atom, exponent) pairs, one per atom, exponents >= 1
+    and function atoms in sort-key order; the inverse of _factors."""
+    bits, fns = 0, []
+    for a, p in factors:
+        if p > EXPONENT_LIMIT:
+            raise _limit_error(p, a)
+        if type(a) is Fn:
+            fns.append((a, p))
+        else:
+            bits += p * a.unit
+    return _mixed(bits, tuple(fns))
+
+
+def _mono_key(factors: tuple):
+    """The canonical-order key of a monomial's factors: its degree, then
+    its atoms from the last, each with its exponent."""
+    return (sum([p for _, p in factors]), tuple([(a.sort_key, p) for a, p in reversed(factors)]))
+
+
 def _mul_into(coeffs: dict, left, right) -> dict:
     """Add every product of a left and a right (monomial, numerator) pair
     into coeffs."""
+    guards = _GUARDS
     for m1, c1 in left:
         for m2, c2 in right:
-            m = _mono_mul(m1, m2)
+            m = m1 + m2
+            if m & guards:
+                raise _over_limit(m)
             c = c1 * c2
             acc = coeffs.get(m)
             coeffs[m] = c if acc is None else acc + c
@@ -412,22 +524,25 @@ def _build_grouped(groups: dict, den: int = 1) -> "Expr":
 class Expr:
     """Canonical sum of monomials with rational coefficients. Immutable.
 
-    ``_terms`` holds (monomial, integer numerator) pairs, one per distinct
-    monomial, with no zero numerator, in the order they were collected in;
-    every coefficient is its numerator over the one positive ``_den``.  The
-    pair is reduced, ``gcd(_den, *numerators) == 1``, and zero is
-    ``Expr(())`` with ``_den == 1``, so each value has one set of terms and
-    ``==`` and ``hash`` compare that set and ``_den``.  ``_sorted_terms()``
-    is the same pairs in canonical order, which printing and evaluation read.
+    ``_terms`` holds (packed monomial, integer numerator) pairs, one per
+    distinct monomial, with no zero numerator, in the order they were
+    collected in; every coefficient is its numerator over the one positive
+    ``_den``.  The pair is reduced, ``gcd(_den, *numerators) == 1``, and
+    zero is ``Expr(())`` with ``_den == 1``, so each value has one set of
+    terms and ``==`` and ``hash`` compare that set and ``_den``.
+    ``_sorted_terms()`` is the same pairs in canonical order, which printing
+    reads; ``_factored_terms()`` has their monomials unpacked into (atom,
+    exponent) tuples, which evaluation reads.
     """
 
-    # _hash, _atoms, _sorted and _fraction_terms are filled on the first
-    # hash(), base_atoms(), _sorted_terms() and terms call
-    __slots__ = ("_terms", "_den", "_hash", "_atoms", "_sorted", "_fraction_terms")
+    # _hash, _vars, _atoms, _sorted and _factored are filled on the first
+    # hash(), _variables(), base_atoms(), _sorted_terms() and _factored_terms()
+    # call; only what evaluation reads at every point is kept unpacked
+    __slots__ = ("_terms", "_den", "_hash", "_vars", "_atoms", "_sorted", "_factored")
 
     def __init__(self, terms: tuple, den: int = 1):
-        # internal: terms must already be canonical (distinct monomials of
-        # sorted atoms, nonzero numerators, reduced against den), in any order
+        # internal: terms must already be canonical (distinct packed
+        # monomials, nonzero numerators, reduced against den), in any order
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_den", den)
 
@@ -435,7 +550,8 @@ class Expr:
         raise AttributeError("Expr is immutable")
 
     def __reduce__(self):
-        return Expr, (self._terms, self._den)
+        # slots are numbered by each process for itself, so pickles carry atoms
+        return _unpickle, (tuple([(_factors(m), c) for m, c in self._terms]), self._den)
 
     # -- construction ------------------------------------------------------
 
@@ -457,7 +573,7 @@ class Expr:
         return Expr(tuple(items), den)
 
     @staticmethod
-    def _monomial(mono: Mono, num: int, den: int) -> "Expr":
+    def _monomial(mono, num: int, den: int) -> "Expr":
         """The one-term Expr num / den * mono, for num != 0 and den > 0."""
         g = math.gcd(num, den)
         if g != 1:
@@ -490,38 +606,46 @@ class Expr:
             q = Fraction(q)
         if q == 0:
             return _ZERO
-        return Expr((((), q.numerator),), q.denominator)
+        return Expr(((0, q.numerator),), q.denominator)
 
     @staticmethod
     def from_atom(a: Sym | Jet | Fn) -> "Expr":
-        return Expr(((((a, 1),), 1),))
+        mono = _mixed(0, ((a, 1),)) if type(a) is Fn else a.unit
+        return Expr(((mono, 1),))
 
     # -- inspection --------------------------------------------------------
 
     def _sorted_terms(self) -> tuple:
-        """The (monomial, numerator) pairs in canonical order: by degree, then
-        by atoms from the last, largest first.  Made on first use."""
+        """The (monomial, numerator) pairs in canonical order: by degree,
+        then by atoms from the last, largest first.  Made on first use."""
         try:
             return self._sorted
         except AttributeError:
             pass
         terms = self._terms
         if len(terms) > 1:
-            terms = tuple(sorted(terms, key=lambda mc: _mono_key(mc[0]), reverse=True))
+            terms = tuple(sorted(terms, key=lambda mc: _mono_key(_factors(mc[0])), reverse=True))
         object.__setattr__(self, "_sorted", terms)
+        return terms
+
+    def _factored_terms(self) -> tuple:
+        """The (factors, numerator) pairs in canonical order, each monomial
+        unpacked by _factors.  Made on first use."""
+        try:
+            return self._factored
+        except AttributeError:
+            pass
+        terms = tuple([(_factors(m), c) for m, c in self._sorted_terms()])
+        object.__setattr__(self, "_factored", terms)
         return terms
 
     @property
     def terms(self) -> tuple:
-        """The (monomial, Fraction coefficient) pairs, in canonical order."""
-        try:
-            return self._fraction_terms
-        except AttributeError:
-            pass
+        """The (monomial, Fraction coefficient) pairs, in canonical order;
+        each monomial is its (atom, exponent) pairs in sort-key order.
+        Made on each read, so a value read once keeps nothing."""
         den = self._den
-        value = tuple([(m, Fraction(c, den)) for m, c in self._sorted_terms()])
-        object.__setattr__(self, "_fraction_terms", value)
-        return value
+        return tuple([(_factors(m), Fraction(c, den)) for m, c in self._sorted_terms()])
 
     @property
     def is_zero_literal(self) -> bool:
@@ -531,9 +655,24 @@ class Expr:
         """The value as a rational constant, or None if non-constant."""
         if not self._terms:
             return Fraction(0)
-        if len(self._terms) == 1 and self._terms[0][0] == ():
+        if len(self._terms) == 1 and self._terms[0][0] == 0:
             return Fraction(self._terms[0][1], self._den)
         return None
+
+    def _variables(self) -> tuple:
+        """The (slot, field mask, shift) of each Sym and Jet atom of the
+        monomials, outside function arguments, by slot.  Made on first use."""
+        variables = getattr(self, "_vars", None)
+        if variables is not None:
+            return variables
+        bits = 0
+        for m, _ in self._terms:
+            bits |= m if type(m) is int else m[0]
+        for k in (1, 2, 4, 8, 16):  # OR each field's bits into its lowest
+            bits |= bits >> k
+        variables = _slots_of(bits & (_GUARDS >> (_FIELD - 1)))
+        object.__setattr__(self, "_vars", variables)
+        return variables
 
     def base_atoms(self) -> frozenset:
         """All Sym and Jet atoms, including those inside function arguments."""
@@ -541,13 +680,11 @@ class Expr:
             return self._atoms
         except AttributeError:
             pass
-        found = set()
-        for mono, _ in self._terms:
-            for a, _p in mono:
-                if isinstance(a, Fn):
+        found = {_atom_at(slot) for slot, _field, _shift in self._variables()}
+        for m, _ in self._terms:
+            if type(m) is _Mixed:
+                for a, _p in m[1]:
                     found |= a.arg.base_atoms()
-                else:
-                    found.add(a)
         atoms = frozenset(found)
         object.__setattr__(self, "_atoms", atoms)
         return atoms
@@ -555,9 +692,9 @@ class Expr:
     def fn_atoms(self) -> frozenset:
         """All transcendental factors, including nested ones."""
         found = set()
-        for mono, _ in self._terms:
-            for a, _p in mono:
-                if isinstance(a, Fn):
+        for m, _ in self._terms:
+            if type(m) is _Mixed:
+                for a, _p in m[1]:
                     found.add(a)
                     found |= a.arg.fn_atoms()
         return frozenset(found)
@@ -593,7 +730,10 @@ class Expr:
         if len(self._terms) == 1 == len(other._terms):
             # one monomial times one: nothing to collect
             (m1, c1), (m2, c2) = self._terms[0], other._terms[0]
-            return Expr._monomial(_mono_mul(m1, m2), c1 * c2, self._den * other._den)
+            m = m1 + m2
+            if m & _GUARDS:
+                raise _over_limit(m)
+            return Expr._monomial(m, c1 * c2, self._den * other._den)
         return Expr._build(_mul_into({}, self._terms, other._terms), self._den * other._den)
 
     __rmul__ = __mul__
@@ -613,6 +753,8 @@ class Expr:
             return _ONE
         if n < 0:
             return self._invert() ** (-n)
+        if n > EXPONENT_LIMIT and any(_grows(m) for m, _ in self._terms):
+            raise _limit_error(n)  # so would its leading monomial's power: refused before the work
         out = None  # the first factor is taken as it is, not multiplied by one
         base = self
         while True:
@@ -630,13 +772,14 @@ class Expr:
                 "negative power of a non-invertible expression"
             )
         mono, c = self._terms[0]
-        for a, _p in mono:
+        factors = _factors(mono)
+        for a, _p in factors:
             if not (isinstance(a, Fn) and a.head == "exp"):
                 raise UnsupportedExpressionError(
                     f"negative power of non-invertible factor {a}"
                 )
         inv = Expr.from_rational(Fraction(self._den, c))
-        for a, p in mono:
+        for a, p in factors:
             inv = inv * Expr.from_atom(Fn("exp", -(a.arg * Expr.from_rational(p))))
         return inv
 
@@ -671,7 +814,7 @@ class Expr:
         den = self._den
         for idx, (mono, c) in enumerate(self._sorted_terms()):
             body = "*".join(
-                str(a) + (f"^{p}" if p > 1 else "") for a, p in mono
+                str(a) + (f"^{p}" if p > 1 else "") for a, p in _factors(mono)
             )
             mag = Fraction(abs(c), den)
             if body:
@@ -689,7 +832,20 @@ class Expr:
 
 
 _ZERO = Expr(())
-_ONE = Expr((((), 1),))
+_ONE = Expr(((0, 1),))
+
+
+def _unpickle(terms: tuple, den: int) -> Expr:
+    """The Expr of pickled (factors, numerator) pairs, packed in this process."""
+    return Expr(tuple([(_pack(factors), c) for factors, c in terms]), den)
+
+
+def _grows(m) -> bool:
+    """Whether the powers of a monomial raise an exponent: all but the
+    constant and a lone exp factor, whose powers scale its argument."""
+    if type(m) is int:
+        return m != 0
+    return m[0] != 0 or len(m[1]) > 1 or m[1][0][0].head != "exp"
 
 
 def as_expr(value) -> Expr:
@@ -748,11 +904,44 @@ def diff_partial(e: Expr, v) -> Expr:
     """
     if not isinstance(v, (Sym, Jet)):
         raise TypeError("differentiation variable must be a symbol or jet atom")
-    return _derive(e, lambda a: _ONE if a == v else _ZERO)
+    derivatives = _Derivatives(None)  # every other atom is held fixed
+    derivatives.put(v.slot, _ONE)
+    return _derive(e, derivatives)
 
 
-def _derive(e: Expr, base_derivative) -> Expr:
-    """Apply the derivation that maps each Sym/Jet atom a to base_derivative(a).
+class _Derivatives(dict):
+    """slot -> how a derivation moves the atom of that slot, made on first
+    lookup from derivative(atom), or 0 when derivative is None: None where
+    the derivative is 0, else (field, shift, unit, delta, the derivative's
+    terms, its denominator), where delta, when not None, is m' - unit for
+    a derivative that is one polynomial term c' * m'.  A slot's atom never
+    changes, so a caller may keep one for as long as its derivation."""
+
+    __slots__ = ("derivative",)
+
+    def __init__(self, derivative):
+        super().__init__()
+        self.derivative = derivative
+
+    def __missing__(self, slot: int):
+        return self.put(slot, _ZERO if self.derivative is None else self.derivative(_atom_at(slot)))
+
+    def put(self, slot: int, da: Expr):
+        """Record da as the derivative of the atom of slot."""
+        terms = da._terms
+        if not terms:
+            move = None
+        else:
+            shift = slot * _FIELD
+            unit = 1 << shift
+            one = len(terms) == 1 and type(terms[0][0]) is int
+            move = (_MASK << shift, shift, unit, terms[0][0] - unit if one else None, terms, da._den)
+        self[slot] = move
+        return move
+
+
+def _derive(e: Expr, derivatives: _Derivatives) -> Expr:
+    """Apply the derivation that moves each Sym/Jet atom as derivatives says.
 
     ``diff_partial`` and ``jets.total_derivative`` are this one pass with
     different atom maps.  Terms are visited in the order they were built;
@@ -761,32 +950,59 @@ def _derive(e: Expr, base_derivative) -> Expr:
     """
     memo: dict = {}
     try:
-        return _derive_pass(e, base_derivative, memo, ordered=False)
+        return _derive_pass(e, derivatives, memo, ordered=False)
     except UnsupportedExpressionError:
-        return _derive_pass(e, base_derivative, memo, ordered=True)
+        return _derive_pass(e, derivatives, memo, ordered=True)
 
 
-def _derive_pass(e: Expr, base_derivative, memo: dict, ordered: bool) -> Expr:
+def _derive_pass(e: Expr, derivatives: _Derivatives, memo: dict, ordered: bool) -> Expr:
     """One pass of ``_derive``; function atoms follow the chain rule through
-    their arguments, and each atom's derivative is computed once (memo,
-    shared with the recursion into arguments, which inherits ``ordered``)."""
+    their arguments, and each one's derivative is computed once (memo,
+    shared with the recursion into arguments, which inherits ``ordered``).
+
+    A term's derivative in a Sym or Jet atom a reads a's exponent p from
+    its field: it is p * (m - a.unit) times a's derivative.  Where that is
+    one polynomial term c' * m', the product is one addition, m + delta
+    with delta = m' - a.unit, which is m - a.unit + m' however it is added."""
     groups: dict = {}  # denominator of the atom derivative -> numerators over it
-    for mono, c in e._sorted_terms() if ordered else e._terms:
-        for idx, (a, p) in enumerate(mono):
+    # (field, shift, unit, delta or None, derivative's terms, their group) of
+    # the atoms whose derivative is not 0
+    moved = []
+    for slot, _field, _shift in e._variables():
+        move = derivatives[slot]
+        if move is not None:
+            field, shift, unit, delta, terms, den = move
+            moved.append((field, shift, unit, delta, terms, _group(groups, den)))
+    guards = _GUARDS
+    for m, c in e._sorted_terms() if ordered else e._terms:
+        bits = m if type(m) is int else m[0]
+        for field, shift, unit, delta, dterms, coeffs in moved:
+            power_bits = bits & field
+            if power_bits:
+                c1 = c * (power_bits >> shift)
+                if delta is None:
+                    _mul_into(coeffs, ((m - unit, c1),), dterms)
+                    continue
+                m1 = m + delta
+                if m1 & guards:
+                    raise _over_limit(m1)
+                c1 *= dterms[0][1]
+                acc = coeffs.get(m1)
+                coeffs[m1] = c1 if acc is None else acc + c1
+        if type(m) is int:
+            continue
+        fns = m[1]
+        for idx, (a, p) in enumerate(fns):
             da = memo.get(a)
             if da is None:
-                if isinstance(a, Fn):
-                    da = _chain_rule(a, _derive_pass(a.arg, base_derivative, memo, ordered))
-                else:
-                    da = base_derivative(a)
-                memo[a] = da
+                da = memo[a] = _chain_rule(a, _derive_pass(a.arg, derivatives, memo, ordered))
             if not da._terms:
                 continue
             if p > 1:
-                rest = (*mono[:idx], (a, p - 1), *mono[idx + 1 :])
+                rest = (*fns[:idx], (a, p - 1), *fns[idx + 1 :])
             else:
-                rest = mono[:idx] + mono[idx + 1 :]
-            _mul_into(_group(groups, da._den), ((rest, c * p),), da._terms)
+                rest = fns[:idx] + fns[idx + 1 :]
+            _mul_into(_group(groups, da._den), ((_mixed(bits, rest), c * p),), da._terms)
     return _build_grouped(groups, e._den)
 
 
@@ -825,40 +1041,50 @@ def substitute(e: Expr, bindings: Mapping) -> Expr:
 def _substitute(e: Expr, power) -> Expr:
     """``substitute`` where power(a, p) is the image of a^p for a Sym or Jet
     atom a, or None where a stays.  It is asked once per (atom, exponent) in
-    a call, so a caller may keep the powers across calls; function atoms are
-    rebuilt from their substituted arguments in every call."""
-    images: dict = {}  # (atom, exponent) -> its image, None where it stays
+    a call, and for each atom of e at exponent 1 first, so a caller may keep
+    the powers across calls; function atoms are rebuilt from their
+    substituted arguments in every call."""
+    moved = []  # (field mask, shift, atom, {its power's field: image}) of the atoms that go
+    for slot, field, shift in e._variables():
+        a = _atom_at(slot)
+        image = power(a, 1)
+        if image is not None:
+            moved.append((field, shift, a, {1 << shift: image}))
+    fn_images: dict = {}  # (function atom, exponent) -> its image
     groups: dict = {}  # product of the image denominators -> numerators over it
-    for mono, c in e._terms:
-        kept = []
+    for m, c in e._terms:
+        kept = bits = m if type(m) is int else m[0]
         factors = []
         den = 1
-        for ap in mono:
-            image = images.get(ap, False)
-            if image is False:
-                a, p = ap
-                if isinstance(a, Fn):
+        for field, shift, a, images in moved:
+            power_bits = bits & field
+            if power_bits:
+                image = images.get(power_bits)
+                if image is None:
+                    image = images[power_bits] = power(a, power_bits >> shift)
+                kept -= power_bits
+                factors.append(image._terms)
+                den *= image._den
+        if type(m) is _Mixed:
+            for ap in m[1]:
+                image = fn_images.get(ap)
+                if image is None:
+                    a, p = ap
                     arg = _substitute(a.arg, power)
                     try:
                         base = fn_apply(a.head, arg)
                     except UnsupportedExpressionError as exc:  # ln of a constant <= 0
                         raise UnsupportedExpressionError(f"{a} becomes {exc}") from exc
-                    image = base**p
-                else:
-                    image = power(a, p)
-                images[ap] = image
-            if image is None:
-                kept.append(ap)
-                continue
-            factors.append(image._terms)
-            den *= image._den
+                    image = fn_images[ap] = base**p
+                factors.append(image._terms)
+                den *= image._den
         coeffs = _group(groups, den)
         if not factors:
-            acc = coeffs.get(mono)
-            coeffs[mono] = c if acc is None else acc + c
+            acc = coeffs.get(m)
+            coeffs[m] = c if acc is None else acc + c
             continue
         # the term's product of images, expanded in raw numerator dicts
-        product = ((tuple(kept), c),)  # kept is a sub-tuple of a canonical monomial
+        product = ((kept, c),)  # kept: the atoms that stay
         for image in factors[:-1]:
             product = _mul_into({}, product, image).items()
         _mul_into(coeffs, product, factors[-1])
@@ -897,8 +1123,8 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
         k = 0
         trans = None
         rest = []
-        for a, p in mono:
-            if isinstance(a, (Sym, Jet)) and a == v:
+        for a, p in _factors(mono):
+            if a is v:
                 k = p
             elif isinstance(a, Fn) and a.arg.depends_on(v):
                 if trans is not None:
@@ -912,7 +1138,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
                 trans = a
             else:
                 rest.append((a, p))
-        rest_expr = Expr._monomial(tuple(rest), c, e._den)
+        rest_expr = Expr._monomial(_pack(rest), c, e._den)
         if trans is None:
             parts.append(rest_expr * v_expr ** (k + 1) / (k + 1))
             continue
@@ -929,7 +1155,7 @@ def integrate_univar(e: Expr, v, lower=0) -> Expr:
         coeff = inverse  # (-1)^j k!/(k-j)! / a^(j+1)
         for j in range(k + 1):
             sign, head = table[j % len(table)]
-            v_mono = ((v, k - j),) if j < k else ()
+            v_mono = (k - j) * v.unit
             parts.append(
                 Expr._monomial(v_mono, sign * coeff.numerator, coeff.denominator) * heads[head]
             )
@@ -1013,7 +1239,7 @@ def _eval_mp(e: Expr, env: Mapping):
     mpmath, funcs = _mp()
     total = mpmath.mpf(0)
     scale = mpmath.mpf(0)
-    for mono, c in e._sorted_terms():
+    for mono, c in e._factored_terms():
         term = _mp_number(Fraction(c, e._den))
         for a, p in mono:
             if isinstance(a, Fn):
@@ -1033,7 +1259,7 @@ def evaluate_float(e: Expr, env: Mapping) -> float:
     """Double-precision evaluation; env maps every Sym/Jet atom to a float."""
     total = 0.0
     den = e._den
-    for mono, c in e._sorted_terms():  # one summation order, however e was built
+    for mono, c in e._factored_terms():  # one summation order, however e was built
         term = c / den  # int true division rounds correctly, as float(Fraction) does
         for a, p in mono:
             if isinstance(a, Fn):
@@ -1135,9 +1361,13 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
-            if op == "*":
-                e = e * self.factor()
+            op = self.next()
+            if op[0] == "*":
+                right = self.factor()
+                try:
+                    e = e * right
+                except ExponentLimitError as exc:
+                    raise ParseError(str(exc), op[2]) from exc
             else:
                 e = e / self.integer_token()
         return e
@@ -1149,7 +1379,7 @@ class _Parser:
             n = self.signed_int()
             try:
                 return base**n
-            except UnsupportedExpressionError as exc:
+            except (UnsupportedExpressionError, ExponentLimitError) as exc:
                 raise ParseError(str(exc), caret[2]) from exc
         return base
 
@@ -1264,7 +1494,11 @@ def _parse_printed(text: str) -> Expr | None:
                     atoms[name, i, j] = atom
                 powers[atom] = powers.get(atom, 0) + (int(p) if p else 1)
             if num:
-                mono = tuple(sorted([ap for ap in powers.items() if ap[1]], key=lambda ap: ap[0].sort_key))
+                mono = 0
+                for atom, p in powers.items():
+                    if p > EXPONENT_LIMIT:  # for _Parser to report
+                        return None
+                    mono += p * atom.unit
                 coeffs = _group(groups, den)
                 acc = coeffs.get(mono)
                 coeffs[mono] = num if acc is None else acc + num

@@ -15,7 +15,7 @@ of its shift, so no principal jet is made only to be substituted away.
 
 from __future__ import annotations
 
-from .expr import Expr, Jet, Sym, _Record, _derive, as_expr, diff_partial, substitute
+from .expr import Expr, Jet, Sym, _Derivatives, _Record, _derive, as_expr, diff_partial, substitute
 
 
 class FrameMismatchError(ValueError):
@@ -127,22 +127,32 @@ def total_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
     shifted along the axis; function atoms differentiate their argument
     the same way (chain rule).
     """
-    return _derive_along(e, frame, axis, as_expr)
+    return _derive_along(e, frame, axis, False)
 
 
-def _derive_along(e: Expr, frame: Frame, axis: int, shifted_image) -> Expr:
-    """The derivation along the axis that sends a jet to shifted_image of its shift."""
+# (frame, axis, on solutions) -> how that derivation moves each atom, kept for the process
+_DERIVATIONS: dict = {}
+
+
+def _derive_along(e: Expr, frame: Frame, axis: int, on_solutions: bool) -> Expr:
+    """The derivation along the axis that sends a jet to its shift, or on
+    solutions to the reduced form of its shift."""
     if axis not in (0, 1):
         raise ValueError("axis must be 0 or 1")
     check_frame(e, frame)
-    sym = frame.symbol(axis)
+    key = (frame, axis, on_solutions)
+    derivatives = _DERIVATIONS.get(key)
+    if derivatives is None:
+        sym = frame.symbol(axis)
 
-    def base_derivative(a) -> Expr:
-        if isinstance(a, Jet):
-            return shifted_image(a.shifted(axis))
-        return Expr.one() if a == sym else Expr.zero()
+        def base_derivative(a) -> Expr:
+            if isinstance(a, Jet):
+                s = a.shifted(axis)
+                return _on_solutions(s, frame) if on_solutions and frame.is_principal(s) else as_expr(s)
+            return Expr.one() if a == sym else Expr.zero()
 
-    return _derive(e, base_derivative)
+        derivatives = _DERIVATIONS[key] = _Derivatives(base_derivative)
+    return _derive(e, derivatives)
 
 
 def restricted_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
@@ -155,9 +165,7 @@ def restricted_derivative(e: Expr, frame: Frame, axis: int) -> Expr:
     for a in e.base_atoms():
         if isinstance(a, Jet) and a.var == frame.dependent and frame.is_principal(a):
             raise PrincipalDerivativeError(a)
-    return _derive_along(
-        e, frame, axis, lambda s: _on_solutions(s, frame) if frame.is_principal(s) else as_expr(s)
-    )
+    return _derive_along(e, frame, axis, True)
 
 
 def equation_expression(frame: Frame) -> Expr:

@@ -344,6 +344,18 @@ def test_an_integer_literal_over_the_int_string_limit_exits_2(capsys, argv):
     assert f"integer literal of {len(digits)} digits is too long" in err
 
 
+def test_a_parse_error_in_a_long_flag_quotes_only_the_start_of_it(capsys):
+    digits = _too_long()
+    text = digits + "*w[0,1]"
+    code, out, err = run(capsys, "verify", "--first", text, "--second", "0")
+    assert (code, out) == (2, "")
+    assert err == (f"error: in --first {'9' * 80!r}... ({len(text)} characters): "
+                   f"integer literal of {len(digits)} digits is too long (at position 0)\n")
+    # text up to the cap is quoted whole
+    code, _, err = run(capsys, "verify", "--first", "w[0,1]+", "--second", "0")
+    assert code == 2 and err.startswith("error: in --first 'w[0,1]+': ")
+
+
 # --- triviality ----------------------------------------------------------------------
 
 def test_is_trivial_exit_codes(capsys):
@@ -785,6 +797,8 @@ _BAD_COMMAND_LINES = {
     "empty-frame": (["verify", "--first", "w", "--second", "0", "--frame", ""], "unknown frame ''"),
     "nodes": ([*_NUMCHECK, "--solution", ";", "--nodes", "x"], "bad rectangle: invalid literal"),
     "ref-point-env": (["parse", "--expr", "t"], "JETLAW_REF_POINT: bad value for ref_point:"),
+    "exponent-limit": (["parse", "--expr", "xi^2147483648"],
+                       "exponent 2147483648 is over the limit 2147483647 (at position 2)"),
 }
 
 

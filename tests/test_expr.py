@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetlaw.expr import (
+    EXPONENT_LIMIT,
+    ExponentLimitError,
     Expr,
     Fn,
     Jet,
@@ -156,6 +158,72 @@ def test_an_integer_literal_over_the_int_string_limit_is_a_parse_error(template,
         parse(template.format(digits))
     assert err.value.position == position
     assert f"integer literal of {len(digits)} digits is too long" in str(err.value)
+
+
+# --- the exponent limit -------------------------------------------------------
+
+L = EXPONENT_LIMIT
+XI = as_expr(Sym("xi"))
+
+
+def test_the_exponent_limit_is_2_to_the_31_minus_1():
+    assert L == 2**31 - 1
+
+
+@pytest.mark.parametrize("p", [100000000, L - 1, L])
+def test_an_exponent_up_to_the_limit_is_read_and_printed(p):
+    for text in (f"xi^{p}*eta", f"eta*(xi^{p})", f"sin(xi)^{p}"):
+        e = parse(text)
+        assert parse(str(e)) == e
+        assert f"^{p}" in str(e)
+    assert parse(f"xi^{p}*eta") == XI**p * as_expr(Sym("eta"))
+
+
+@pytest.mark.parametrize("text, position", [
+    (f"xi^{L + 1}*eta", 2),  # the one-pass reader's shape
+    ("xi^99999999999999999999*eta", 2),
+    (f"(xi + 1)^{L + 1}", 8),  # refused before the work
+    (f"xi^{L}*xi", 13),  # a product that crosses it, at the operator
+    (f"xi*eta^{L - 1}*eta^2", 17),
+    (f"sin(xi)^{L}*sin(xi)", 18),
+])
+def test_an_exponent_over_the_limit_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert f"is over the limit {L}" in str(err.value)
+    assert isinstance(err.value.__cause__, ExponentLimitError)
+
+
+def test_a_product_over_the_limit_raises_and_never_carries_into_a_neighbour():
+    eta = as_expr(Sym("eta"))
+    at_limit = XI**L * eta**L
+    assert dict(at_limit.terms) == {((Sym("xi"), L), (Sym("eta"), L)): 1}
+    for crossing in (lambda: at_limit * XI, lambda: at_limit * (XI + eta),
+                     lambda: (XI**L + 1) * (XI + 1), lambda: XI ** (L + 1)):
+        with pytest.raises(ExponentLimitError, match=f"exponent {L + 1} (of xi )?is over the limit {L}"):
+            crossing()
+    assert XI ** (L - 1) * XI == XI**L
+
+
+@pytest.mark.parametrize("p", [1 << 16, 1 << 30, L])
+def test_an_atom_is_found_by_any_bit_of_its_exponent(p):
+    eta = as_expr(Sym("eta"))
+    e = XI**p * eta
+    assert e.base_atoms() == {Sym("xi"), Sym("eta")}
+    assert diff_partial(e, Sym("xi")) == p * XI ** (p - 1) * eta
+    assert substitute(e, {Sym("xi"): 1}) == eta
+
+
+def test_integration_over_the_limit_raises():
+    with pytest.raises(ExponentLimitError):
+        integrate_univar(XI**L, Sym("xi"))
+    assert diff_partial(integrate_univar(XI ** (L - 1), Sym("xi")), Sym("xi")) == XI ** (L - 1)
+
+
+def test_powers_of_a_lone_exponential_scale_its_argument_past_the_limit():
+    assert fn_apply("exp", XI) ** (L + 1) == fn_apply("exp", (L + 1) * XI)
+    assert as_expr(-1) ** (L + 1) == 1  # nor has a constant an exponent to bound
 
 
 # --- the one-pass reader against the recursive-descent parser ---------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetlaw.expr import Expr, Jet, Sym, as_expr, diff_partial, fn_apply, parse
+from jetlaw.expr import EXPONENT_LIMIT, Expr, ExponentLimitError, Jet, Sym, as_expr, diff_partial, fn_apply, parse
 from jetlaw.jets import (
     LIGHTCONE,
     SPACETIME,
@@ -283,12 +283,14 @@ def expressions(draw, frame, jets):
 
 
 frames = st.sampled_from([LIGHTCONE, SPACETIME])
+# an equation with two terms, so the shift of a jet can reduce to a sum
+TWO_TERM = Frame("telegraph", ("t", "x"), "v", (2, 0), ((0, 2), (1, 0)))
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_restricted_derivative_is_the_reduced_total_derivative(data):
-    frame = data.draw(frames)
+    frame = data.draw(st.sampled_from([LIGHTCONE, SPACETIME, TWO_TERM]))
     e = data.draw(expressions(frame, _jets_up_to(frame, 4, reduced=True)))
     for axis in (0, 1):
         full = reduce_to_solutions(total_derivative(e, frame, axis), frame)
@@ -327,3 +329,15 @@ def test_euler_operator_equals_its_per_jet_definition(data):
     frame = data.draw(frames)
     lagrangian = data.draw(expressions(frame, _jets_up_to(frame, 3, reduced=False)))
     assert euler_operator(lagrangian, frame) == _euler_by_definition(lagrangian, frame)
+
+
+@pytest.mark.parametrize("derive", [total_derivative, restricted_derivative])
+def test_a_total_derivative_that_passes_the_exponent_limit_raises(derive):
+    # D_eta w[0,1] is the one term w[0,2], which the derivation adds to the
+    # monomial as one int: that addition is guarded like a product
+    below = parse(f"w[0,1]*w[0,2]^{EXPONENT_LIMIT - 1}")
+    assert str(derive(below, LIGHTCONE, 1)) == (
+        f"{EXPONENT_LIMIT - 1}*w[0,1]*w[0,2]^{EXPONENT_LIMIT - 2}*w[0,3] + w[0,2]^{EXPONENT_LIMIT}"
+    )
+    with pytest.raises(ExponentLimitError, match=f"exponent {EXPONENT_LIMIT + 1} of w\\[0,2\\] is over the limit"):
+        derive(parse(f"w[0,1]*w[0,2]^{EXPONENT_LIMIT}"), LIGHTCONE, 1)

@@ -5,8 +5,9 @@ Results are checked against sympy's expanded forms on seeded random
 polynomials, against the textbook definition of the total derivative on
 expressions with exp/sin/cos of jets, and for linear work: the number of
 monomials handed to ``Expr._build`` stays within a fixed multiple of the
-terms in plus the terms out.  Atoms are interned, and the merge-based
-monomial product is checked against a dict-and-sort reference.
+terms in plus the terms out.  Atoms are interned, and the packed
+monomial product and derivative are checked against a dict-and-sort
+reference, up to the exponent limit.
 Coefficients are integer numerators over one denominator per Expr: the
 arithmetic is checked against an all-Fraction reference, the layout
 against its invariant, and the calculus for calls into ``fractions``.
@@ -31,13 +32,18 @@ from hypothesis import strategies as st
 
 import jetlaw
 from jetlaw.expr import (
+    EXPONENT_LIMIT,
+    ExponentLimitError,
     Expr,
     Fn,
     Jet,
     Sym,
     UnsupportedExpressionError,
     ZeroVerdict,
-    _mono_mul,
+    _factors,
+    _Mixed,
+    _mul_into,
+    _pack,
     _parse_printed,
     as_expr,
     diff_partial,
@@ -485,9 +491,13 @@ def test_fused_exp_factor_is_the_interned_atom():
     arg = parse("w[0,1] + w[1,0]")
     assert fused is Fn("exp", arg)
     assert fused.sort_key == (2, f"exp({arg})")
+    # inside: the int part holds xi and eta, and the fused factor sits beside it
+    (packed, _c), = product._terms
+    assert type(packed) is _Mixed
+    assert packed == (Sym("xi").unit + Sym("eta").unit, ((fused, 1),))
 
 
-# --- merge-based monomial product -------------------------------------------
+# --- packed monomial product ------------------------------------------------
 
 FN_ARGS = [parse(text) for text in ("w[0,1]", "2*xi - w[1,0]", "w[0,2]^2", "-eta")]
 
@@ -508,22 +518,58 @@ def _reference_mono_mul(m1, m2):
     return tuple(sorted(factors, key=lambda ap: ap[0].sort_key))
 
 
+SMALL = st.integers(1, 4)
+NEAR_THE_LIMIT = st.one_of(SMALL, st.integers(EXPONENT_LIMIT - 3, EXPONENT_LIMIT))
+
+
 @st.composite
-def monomials(draw):
-    """A canonical monomial: sorted distinct atoms, at most one exp factor."""
+def monomials(draw, exponents=SMALL, heads=("exp", "sin", "cos")):
+    """A canonical monomial as sorted (atom, exponent) pairs: distinct
+    atoms, at most one exp factor, to the first power."""
     atoms = draw(st.lists(st.sampled_from(LIGHTCONE_ATOMS + [Jet("w", 5, 0)]), unique=True, max_size=5))
-    powers = {a: draw(st.integers(1, 4)) for a in atoms}
-    for head in draw(st.lists(st.sampled_from(["exp", "sin", "cos"]), unique=True, max_size=2)):
+    powers = {a: draw(exponents) for a in atoms}
+    for head in draw(st.lists(st.sampled_from(heads), unique=True, max_size=2)):
         atom = Fn(head, draw(st.sampled_from(FN_ARGS)))
-        powers[atom] = 1 if head == "exp" else draw(st.integers(1, 3))
+        powers[atom] = 1 if head == "exp" else draw(exponents)
     return tuple(sorted(powers.items(), key=lambda ap: ap[0].sort_key))
 
 
 @given(monomials(), monomials())
 @settings(max_examples=300, deadline=None)
-def test_merged_monomial_product_matches_dict_and_sort(m1, m2):
-    assert _mono_mul(m1, m2) == _reference_mono_mul(m1, m2)
-    assert _mono_mul(m2, m1) == _mono_mul(m1, m2)
+def test_packed_monomial_product_matches_dict_and_sort(m1, m2):
+    p1, p2 = _pack(m1), _pack(m2)
+    assert (_factors(p1), _factors(p2)) == (m1, m2)
+    assert _factors(p1 + p2) == _reference_mono_mul(m1, m2)
+    assert p2 + p1 == p1 + p2
+
+
+def _over(ref) -> bool:
+    """Whether a reference monomial, or any monomial of a reference dict,
+    holds an exponent over the limit."""
+    monos = ref if isinstance(ref, dict) else [ref]
+    return any(p > EXPONENT_LIMIT for m in monos for _a, p in m)
+
+
+@given(monomials(NEAR_THE_LIMIT), monomials(NEAR_THE_LIMIT), st.sampled_from(LIGHTCONE_ATOMS))
+@settings(max_examples=300, deadline=None)
+def test_packed_product_and_derivative_match_the_references_up_to_the_limit(m1, m2, v):
+    e1, e2 = (Expr._monomial(_pack(m), 3, 1) for m in (m1, m2))
+    expected = _reference_mono_mul(m1, m2)
+    # the one-term product, and the loop of every other product
+    for product in (lambda: (e1 * e2)._terms, lambda: tuple(_mul_into({}, e1._terms, e2._terms).items())):
+        if _over(expected):
+            with pytest.raises(ExponentLimitError, match=f"over the limit {EXPONENT_LIMIT}$"):
+                product()
+        else:
+            assert product() == ((_pack(expected), 9),)
+    # the derivative in one atom; _ref_derive follows the chain rule of exp only
+    e = Expr._monomial(_pack(tuple((a, p) for a, p in m1 if not isinstance(a, Fn) or a.head == "exp")), 3, 1)
+    ref = _ref_derive({_factors(e._terms[0][0]): Fraction(3)}, lambda b: {(): 1} if b == v else {})
+    if _over(ref):  # a product of the chain rule passed the limit
+        with pytest.raises(ExponentLimitError):
+            diff_partial(e, v)
+    else:
+        assert dict(diff_partial(e, v).terms) == {m: c for m, c in ref.items() if c}
 
 
 # --- mpmath is loaded by sampled zero tests only -------------------------------
@@ -635,7 +681,7 @@ def _ref_mul(a: dict, b: dict) -> dict:
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = _mono_mul(m1, m2)
+            m = _reference_mono_mul(m1, m2)
             out[m] = out.get(m, 0) + Fraction(c1) * Fraction(c2)
     return out
 
@@ -683,7 +729,7 @@ def _ref_integrate(a: dict, v, lower: Fraction) -> dict:
     for m, c in a.items():
         k = dict(m).get(v, 0)
         rest = tuple((b, p) for b, p in m if b is not v)
-        out = _ref_add(out, {_mono_mul(rest, ((v, k + 1),)): c / (k + 1)})
+        out = _ref_add(out, {_reference_mono_mul(rest, ((v, k + 1),)): c / (k + 1)})
         out = _ref_add(out, {rest: c * lower ** (k + 1) / (k + 1)}, sign=-1)
     return out
 
@@ -737,7 +783,7 @@ def test_ring_operations_match_an_all_fraction_reference(a, b, n, one, other):
 
 def test_one_term_product_cancels_its_denominator():
     e = as_expr(6) * as_expr(Sym("xi")) * (Fraction(1, 3) * as_expr(Jet("w", 0, 1)))
-    assert (e._terms, e._den) == (((((Sym("xi"), 1), (Jet("w", 0, 1), 1)), 2),), 1)
+    assert (e._terms, e._den) == (((Sym("xi").unit + Jet("w", 0, 1).unit, 2),), 1)
 
 
 @given(polynomials(), st.integers(1, 3))
@@ -801,6 +847,36 @@ def test_pickle_and_copies_keep_the_denominator(a):
         assert (again._terms, again._den) == (e._terms, e._den)
 
 
+def test_a_pickled_exponent_over_the_limit_is_refused_not_carried():
+    # a pickle lists (atom, exponent) pairs, and loading packs them again
+    load, (terms, den) = (as_expr(Sym("xi")) ** EXPONENT_LIMIT * as_expr(Sym("eta"))).__reduce__()
+    ((((xi, p), eta_power), c),) = terms
+    assert p == EXPONENT_LIMIT and load(terms, den) == parse(f"xi^{EXPONENT_LIMIT}*eta")
+    with pytest.raises(ExponentLimitError, match=f"exponent {EXPONENT_LIMIT + 1} of xi"):
+        load(((((xi, EXPONENT_LIMIT + 1), eta_power), c),), den)
+
+
+def test_a_pickle_loads_in_a_process_that_numbered_its_slots_otherwise():
+    e = parse("exp(w[0,1] - xi)*w[3,4]^2*eta + 5/3*u[1,2]*w[0,1] - 7 + sin(w[0,1])^3")
+    load = (
+        "import pickle, sys\n"
+        "from jetlaw.expr import Jet, parse\n"
+        "made = [Jet('v', i, 0) for i in range(40)]  # other atoms take the first slots\n"
+        "e = pickle.loads(sys.stdin.buffer.read())\n"
+        f"assert e == parse({str(e)!r}) and hash(e) == hash(parse({str(e)!r}))\n"
+        "print(Jet('w', 3, 4).slot)\n"
+        "print(e)\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(jetlaw.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (package_root, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", load], input=pickle.dumps(e),
+                         capture_output=True, check=True, timeout=60, env=env)
+    slot, text = out.stdout.decode().splitlines()
+    assert int(slot) != Jet("w", 3, 4).slot
+    assert text == str(e)
+
+
 EVALUATED_ATOMS = REDUCED_ATOMS + [Jet("w", 2, 1)]  # every atom polynomials() draws
 
 
@@ -836,7 +912,12 @@ def _fn_of(e: Expr):
     if not e._terms:
         return None
     ((mono, _c),) = e._terms
-    return mono[0][0] if mono else None
+    if type(mono) is int:
+        assert mono == 0
+        return None
+    ((atom, _p),) = mono[1]
+    assert mono[0] == 0
+    return atom
 
 
 @given(st.lists(polynomials(exp_factor=True, max_terms=2), min_size=2, max_size=6),

@@ -282,6 +282,18 @@ def reduced_expressions(draw, frame):
     return e
 
 
+@given(reduced_expressions(SPACETIME), reduced_expressions(SPACETIME))
+@settings(max_examples=100, deadline=None)
+def test_mixing_before_the_pullback_equals_pulling_each_component_back(t_comp, x_comp):
+    # the pullback is a ring map, so the halved sum and difference may be
+    # taken before it as well as after it
+    t, x = substitute_to_lightcone(t_comp), substitute_to_lightcone(x_comp)
+    mixed = current_to_lightcone(Current(SPACETIME, t_comp, x_comp))
+    half = Fraction(1, 2)
+    assert (mixed.first, mixed.second) == (half * (t + x), half * (x - t))
+    assert (str(mixed.first), str(mixed.second)) == (str(half * (t + x)), str(half * (x - t)))
+
+
 def _pulled_derivative(e, source, target, to_target, mixing, axis):
     """to_target(D_axis e) and sum_b mixing[axis][b] * D_b to_target(e)."""
     left = to_target(restricted_derivative(e, source, axis))
